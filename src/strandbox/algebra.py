@@ -164,11 +164,6 @@ def is_ctilde(p: Presentation):
     return edges == {frozenset((i, i + 1)) for i in range(1, p.n)}
 
 
-def omega_pairs(p: Presentation):
-    """The orientation as a set of pairs (j, i) per spine arrow i -> j."""
-    return {(a.target, a.source) for a in spine_arrows(p)}
-
-
 # ---------------------------------------------------------------------------
 # string-algebra validation
 # ---------------------------------------------------------------------------

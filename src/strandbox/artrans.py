@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 
 from .algebra import arrows_by_source, arrows_by_target, in_side, is_ctilde, out_side, spine_arrows
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
@@ -48,42 +49,21 @@ from .strings import (
     canonical_string,
     enumerate_strings,
     format_word,
+    maximal_append,
     word,
     word_sort_key,
 )
 
-_EXTENSION_CAP = 512  # guards against non-finite-dimensional input
-
-
 # ---------------------------------------------------------------------------
 # maximal side extensions
 # ---------------------------------------------------------------------------
-
-def _maximal_append(p, letters, sign):
-    """Greedily append letters of the given sign while the word stays a string."""
-    letters = list(letters)
-    added = []
-    while True:
-        at = letters[-1].source
-        pool = arrows_by_target(p)[at] if sign > 0 else arrows_by_source(p)[at]
-        cand = [a for a in pool if can_append(p, tuple(letters), Letter(a, sign))]
-        if not cand:
-            return added
-        if len(cand) > 1:
-            raise InternalCheckError("non-unique maximal extension; not a string algebra?")
-        c = Letter(cand[0], sign)
-        letters.append(c)
-        added.append(c)
-        if len(added) > _EXTENSION_CAP:
-            raise InternalCheckError("unbounded extension; algebra not finite dimensional?")
-
 
 def alpha_minus(p, a):
     """Maximal inverse string z with a.z a string; trivial at s(a) if none.
 
     A trivial result carries the side tag -sigma(a): its left slot hosts a.
     """
-    added = _maximal_append(p, [Letter(a, 1)], -1)
+    added = maximal_append(p, [Letter(a, 1)], -1)
     if added:
         return word(p, added)
     return StringWord(p, (), a.source, -out_side(p)[a])
@@ -95,7 +75,7 @@ def inv_plus(p, a):
     A trivial result carries the side tag -epsilon(a): its left slot hosts
     the inverse letter of a.
     """
-    added = _maximal_append(p, [Letter(a, -1)], 1)
+    added = maximal_append(p, [Letter(a, -1)], 1)
     if added:
         return word(p, added)
     return StringWord(p, (), a.target, -in_side(p)[a])
@@ -401,18 +381,11 @@ _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}
 def index(w):
     """(left, right) irreducible-map counts of M(w) in the AR-quiver."""
     m = string_module(w) if isinstance(w, StringWord) else w
-    p = m.word.presentation
-    if is_projective(m):
-        left = len(rad_decomposition(p, projective_table(p)[m.word]))
-    else:
-        left = len(ar_sequence_starting_at(tau(m)).middle)
-    if is_injective(m):
-        right = len(soc_quotient_decomposition(p, injective_table(p)[m.word]))
-    else:
-        right = len(ar_sequence_starting_at(m).middle)
-    if (left, right) not in _INDEX_SET:
-        raise InternalCheckError(f"index {(left, right)} outside the admissible set")
-    return (left, right)
+    arrows, _ = mesh_arrows(m)
+    idx = (sum(b == m for _, b in arrows), sum(a == m for a, _ in arrows))
+    if idx not in _INDEX_SET:
+        raise InternalCheckError(f"index {idx} outside the admissible set")
+    return idx
 
 
 def is_minimal(w):
@@ -502,41 +475,39 @@ class ComponentGraph:
     nodes: dict
     edges: set
     tau_edges: set
+    rows: list | None = None  # tube windows: the modules level by level
+    dist: dict | None = None  # component windows: node key -> distance from the seed
+
+
+def tube_rows(p):
+    """The rows of the rank-(n-1) tube, bottom first, without end.
+
+    The ray step takes each module up to the one middle term of its
+    AR-sequence that is not in the row below.
+    """
+    below, row = set(), tube_bottom(p)
+    while True:
+        yield row
+        up = []
+        for x in row:
+            ups = [mid for mid in ar_sequence_starting_at(x).middle if mid not in below]
+            if len(ups) != 1:
+                raise InternalCheckError("tube ray step is not unique")
+            up.append(ups[0])
+        below, row = set(row), up
 
 
 def tube_rank(p, levels=None):
     """A window of the rank-(n-1) tube: `levels` rows built upward by rays."""
-    bottom = tube_bottom(p)
     if levels is None:
         levels = p.n
-    rows = [bottom]
-    nodes = {}
-    edges = set()
-    tau_edges = set()
-
-    def note(m):
-        nodes[format_module(m)] = m
-
-    for m in bottom:
-        note(m)
-    for _ in range(1, levels):
-        prev = set(rows[-2]) if len(rows) >= 2 else set()
-        nxt = []
-        for x in rows[-1]:
-            seq = ar_sequence_starting_at(x)
-            ups = [mid for mid in seq.middle if mid not in prev]
-            if len(ups) != 1:
-                raise InternalCheckError("tube ray step is not unique")
-            for mid in seq.middle:
-                note(mid)
-                edges.add((format_module(x), format_module(mid)))
-                edges.add((format_module(mid), format_module(seq.right)))
-            note(seq.right)
-            tau_edges.add((format_module(x), format_module(seq.right)))
-            nxt.append(ups[0])
-        rows.append(nxt)
-    g = ComponentGraph("TubeRank", p.n - 1, nodes, edges, tau_edges)
-    g.rows = rows
+    if levels < 1:
+        raise DomainError("a tube window needs at least one level")
+    rows = list(islice(tube_rows(p), levels))
+    g = ComponentGraph("TubeRank", p.n - 1, {format_module(m): m for m in rows[0]}, set(), set(),
+                       rows=rows)
+    for x in chain.from_iterable(rows[:-1]):
+        _add_arrows(g, *_mesh(ar_sequence_starting_at(x)))
     return g
 
 
@@ -544,95 +515,77 @@ def tube_rank(p, levels=None):
 # components
 # ---------------------------------------------------------------------------
 
-def _local_links(m):
-    """(edges, tau_edges, neighbors) contributed by the sequences through m."""
-    edges = set()
-    taus = set()
-    nbrs = []
-    key = format_module
-    if isinstance(m, BandModuleClass):
-        seq = ar_sequence_starting_at(m)
-        for mid in seq.middle:
-            edges.add((key(m), key(mid)))
-            edges.add((key(mid), key(m)))
-            nbrs.append(mid)
-        taus.add((key(m), key(m)))
-        return edges, taus, nbrs
-    p = m.word.presentation
+def _mesh(seq):
+    """The arrows of an AR-sequence and its translation arrow, as module pairs."""
+    arrows = [(seq.left, mid) for mid in seq.middle] + [(mid, seq.right) for mid in seq.middle]
+    return arrows, [(seq.left, seq.right)]
+
+
+def mesh_arrows(m):
+    """The AR quiver around m as module pairs: (arrows, translation arrows).
+
+    These are the meshes of the AR-sequences starting and ending at m.  An
+    injective m starts none; the socle-quotient summands of m stand in for
+    its middle terms.  Dually a projective m ends none, and its radical
+    summands stand in.  A band module's one sequence both starts and ends
+    at m.
+    """
+    arrows, translations = [], []
+    seqs = []
     seq = ar_sequence_starting_at(m)
-    if seq is not None:
-        for mid in seq.middle:
-            edges.add((key(m), key(mid)))
-            edges.add((key(mid), key(seq.right)))
-            nbrs.append(mid)
-        taus.add((key(m), key(seq.right)))
-        nbrs.append(seq.right)
+    if seq is None:
+        p = m.word.presentation
+        arrows += [(m, s) for s in soc_quotient_decomposition(p, injective_table(p)[m.word])]
     else:
-        for s in soc_quotient_decomposition(p, injective_table(p)[m.word]):
-            edges.add((key(m), key(s)))
-            nbrs.append(s)
+        seqs.append(seq)
     if is_projective(m):
-        for r in rad_decomposition(p, projective_table(p)[m.word]):
-            edges.add((key(r), key(m)))
-            nbrs.append(r)
+        p = m.word.presentation
+        arrows += [(r, m) for r in rad_decomposition(p, projective_table(p)[m.word])]
     else:
-        tm = tau(m)
-        back = ar_sequence_starting_at(tm)
-        for mid in back.middle:
-            edges.add((key(tm), key(mid)))
-            edges.add((key(mid), key(m)))
-            nbrs.append(mid)
-        taus.add((key(tm), key(m)))
-        nbrs.append(tm)
-    return edges, taus, nbrs
+        seqs.append(ar_sequence_starting_at(tau(m)))
+    for seq in seqs:
+        a, t = _mesh(seq)
+        arrows += a
+        translations += t
+    return arrows, translations
+
+
+def _add_arrows(g, arrows, translations):
+    """Add module-pair arrows to g by node key; returns the modules new to g."""
+    key = format_module
+    g.edges.update((key(a), key(b)) for a, b in arrows)
+    g.tau_edges.update((key(a), key(b)) for a, b in translations)
+    new = []
+    for m in chain.from_iterable(arrows + translations):
+        if key(m) not in g.nodes:
+            g.nodes[key(m)] = m
+            new.append(m)
+    return new
 
 
 def build_component(seed, radius):
     """Breadth-first window of the AR component of `seed` up to the radius."""
     if seed is ZERO:
         raise DomainError("cannot seed a component at zero")
-    nodes = {format_module(seed): seed}
-    dist = {format_module(seed): 0}
-    edges = set()
-    tau_edges = set()
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            d = dist[format_module(m)]
-            es, ts, nbrs = _local_links(m)
-            edges |= es
-            tau_edges |= ts
-            for nb in nbrs:
-                k = format_module(nb)
-                if k not in nodes:
-                    nodes[k] = nb
-                    dist[k] = d + 1
-                    if d + 1 < radius:
-                        nxt.append(nb)
-        frontier = nxt
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
     kind, rank = classify_component(seed)
-    g = ComponentGraph(kind, rank, nodes, edges, tau_edges)
-    g.dist = dist
+    g = ComponentGraph(kind, rank, {format_module(seed): seed}, set(), set(),
+                       dist={format_module(seed): 0})
+    frontier = [seed]
+    d = 0
+    while frontier:
+        d += 1
+        new = [nb for m in frontier for nb in _add_arrows(g, *mesh_arrows(m))]
+        g.dist.update((format_module(nb), d) for nb in new)
+        frontier = new if d < radius else []
     return g
 
 
 def irreducible_neighbors(m):
     """AR-quiver neighbors of m along irreducible maps (tau-translates excluded)."""
-    nbrs = []
-    if isinstance(m, BandModuleClass):
-        return list(ar_sequence_starting_at(m).middle)
-    p = m.word.presentation
-    seq = ar_sequence_starting_at(m)
-    if seq is not None:
-        nbrs.extend(seq.middle)
-    else:
-        nbrs.extend(soc_quotient_decomposition(p, injective_table(p)[m.word]))
-    if is_projective(m):
-        nbrs.extend(rad_decomposition(p, projective_table(p)[m.word]))
-    else:
-        nbrs.extend(ar_sequence_starting_at(tau(m)).middle)
-    return nbrs
+    arrows, _ = mesh_arrows(m)
+    return [b if a == m else a for a, b in arrows if m in (a, b)]
 
 
 def _descend_to_minimal(m):

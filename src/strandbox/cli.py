@@ -23,7 +23,7 @@ from .artrans import (
     minimal_strings,
     tube_rank,
 )
-from .errors import StrandboxError
+from .errors import DomainError, StrandboxError
 from .linalg import scalar_from_spec
 from .modules import ZERO, dim_vector, format_module, parse_module, rank_vector
 from .roots import cartan, closed_form_positive_roots, enumerate_positive_roots
@@ -38,6 +38,13 @@ def _presentation(args):
 
 def _scalar():
     return scalar_from_spec(os.environ.get("STRANDBOX_FIELD", "rat"))
+
+
+def _seq(text):
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise DomainError(f"not a comma-separated vertex sequence: {text!r}") from None
 
 
 def _vec(x):
@@ -132,7 +139,7 @@ def cmd_roots(args):
         if not args.seq or not args.orient:
             print("--closed-form requires --seq and --orient", file=sys.stderr)
             return 2
-        seq = tuple(int(s) for s in args.seq.split(","))
+        seq = _seq(args.seq)
         from .algebra import normalize_orientation
 
         omega = normalize_orientation(args.orient, args.n)
@@ -160,7 +167,7 @@ def cmd_verify_gls(args):
 
 def cmd_verify_coxeter(args):
     p = _presentation(args)
-    seq = tuple(int(s) for s in args.seq.split(","))
+    seq = _seq(args.seq)
     report = check_coxeter_compatibility(p, seq, args.depth)
     if report.passed:
         print(f"coxeter compatibility: pass (seq={seq}, depth={args.depth})")

@@ -127,10 +127,6 @@ def mat_mul(a, b, scalar=Fraction):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), start=row[0] * 0) for row in a]
-
-
 def mat_rank(rows):
     """Rank by destructive Gaussian elimination; `rows` is consumed."""
     if not rows:

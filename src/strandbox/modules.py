@@ -25,11 +25,11 @@ from .strings import (
     Band,
     Letter,
     StringWord,
-    can_append,
     canonical_band,
     canonical_string,
     concat,
     format_word,
+    maximal_append,
     parse_band,
     parse_word,
     trivial_word,
@@ -340,35 +340,14 @@ def is_rigid(m, scalar=Fraction):
 
 def _max_direct_path_from(p, a):
     """Maximal direct string whose first (rightmost) arrow is a."""
-    letters = [Letter(a, 1)]
-    while True:
-        head = letters[0]
-        cand = [b for b in arrows_by_source(p)[head.target]
-                if _can_prepend(p, letters, Letter(b, 1))]
-        if not cand:
-            return word(p, letters)
-        if len(cand) > 1:
-            raise InternalCheckError("non-unique path continuation")
-        letters.insert(0, Letter(cand[0], 1))
+    start = [Letter(a, -1)]
+    return word(p, start + maximal_append(p, start, -1)).inverse
 
 
 def _max_direct_path_into(p, a):
     """Maximal direct string whose last (leftmost) arrow is a."""
-    letters = [Letter(a, 1)]
-    while True:
-        tail = letters[-1]
-        cand = [b for b in arrows_by_target(p)[tail.source]
-                if can_append(p, tuple(letters), Letter(b, 1))]
-        if not cand:
-            return word(p, letters)
-        if len(cand) > 1:
-            raise InternalCheckError("non-unique path continuation")
-        letters.append(Letter(cand[0], 1))
-
-
-def _can_prepend(p, letters, c):
-    inv = [x.inverse for x in reversed(letters)]
-    return can_append(p, tuple(inv), c.inverse)
+    start = [Letter(a, 1)]
+    return word(p, start + maximal_append(p, start, 1))
 
 
 def projective_string(p, i):

@@ -260,24 +260,52 @@ def gamma(cd, seq, k, polarity="+"):
     return x
 
 
-def _orbit_within_bound(cd, cox, start, power_sign, bound):
-    """{c^(power_sign * r)(start) : r >= 0} truncated to the height bound.
+def bounded_orbit(cd, orbit, bound, vector=lambda x: x):
+    """The items of a Coxeter orbit up to n-1 past its last one of height <= bound.
 
-    The orbit heights are eventually periodic-plus-positive-drift, so once a
-    full quasi-period stays above the bound the stream has left for good.
+    `orbit` iterates x_0, x_1, ... with vector(x_{r+1}) = c^{-1}(vector(x_r))
+    for preprojective or c(vector(x_r)) for preinjective roots, where c is the
+    Coxeter transformation of a +-admissible sequence; for module orbits
+    under tau^{-1} and tau this is Coxeter compatibility.  Iteration stops
+    after n-1 consecutive items of height > bound, which are yielded too.
+
+    Why nothing later lies within the bound.  Some power of an affine Coxeter
+    transformation is a shift by multiples of delta (Dlab-Ringel, Mem. AMS
+    173, 1976); here c^{n-1}(x) = x + d(x)*delta and c^{-(n-1)}(x) =
+    x - d(x)*delta with d linear (tests/test_roots.py checks this for
+    n = 3..8, every orientation and every admissible sequence).  As c fixes
+    delta, d(c(x)) = d(x), so along one orbit x_{r+n-1} - x_r = D*delta for a
+    single integer D; each step asserts D > 0.  Heights then grow in every
+    residue class of r mod n-1, so once x_s .. x_{s+n-2} all exceed the
+    bound, every x_r with r >= s does.
     """
-    guard = 2 * cd.n
-    out = []
-    x = start
+    period = cd.n - 1
+    dl = delta(cd)
+    seen = []
     misses = 0
-    while misses < guard:
-        if is_nonnegative(x) and 0 < height(x) <= bound:
-            out.append(x)
-            misses = 0
-        else:
-            misses += 1
-        x = cox.apply(x, power_sign)
-    return out
+    for item in orbit:
+        x = vector(item)
+        if len(seen) >= period:
+            earlier = seen[-period]
+            shift = x[0] - earlier[0]
+            if shift <= 0 or any(a - b != shift * d for a, b, d in zip(x, earlier, dl)):
+                raise InternalCheckError(f"{x} is not {earlier} plus a positive multiple of delta")
+        seen.append(x)
+        yield item
+        misses = misses + 1 if height(x) > bound else 0
+        if misses == period:
+            return
+
+
+def _orbit_within_bound(cd, cox, start, power_sign, bound):
+    """{c^(power_sign * r)(start) : r >= 0} truncated to the height bound."""
+    def orbit(x):
+        while True:
+            yield x
+            x = cox.apply(x, power_sign)
+
+    return [x for x in bounded_orbit(cd, orbit(start), bound)
+            if is_nonnegative(x) and 0 < height(x) <= bound]
 
 
 def closed_form_families(cd, orientation, seq, bound):

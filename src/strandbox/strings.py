@@ -202,6 +202,29 @@ def can_append(p, letters, c):
     return True
 
 
+_EXTENSION_CAP = 512  # guards against non-finite-dimensional input
+
+
+def maximal_append(p, letters, sign):
+    """Greedily append letters of the given sign while the word stays a string;
+    returns the letters added."""
+    letters = list(letters)
+    added = []
+    while True:
+        at = letters[-1].source
+        pool = arrows_by_target(p)[at] if sign > 0 else arrows_by_source(p)[at]
+        cand = [a for a in pool if can_append(p, tuple(letters), Letter(a, sign))]
+        if not cand:
+            return added
+        if len(cand) > 1:
+            raise InternalCheckError("non-unique maximal extension; not a string algebra?")
+        c = Letter(cand[0], sign)
+        letters.append(c)
+        added.append(c)
+        if len(added) > _EXTENSION_CAP:
+            raise InternalCheckError("unbounded extension; algebra not finite dimensional?")
+
+
 def canonical_string(w: StringWord):
     """Representative of the rho-class {w, w^-1}: minimal in the word order."""
     if not is_string(w):

@@ -2,11 +2,12 @@
 
 Witness modules are assembled from the four structural families
 (preprojective and preinjective tau-orbits, the rank-(n-1) tube, band
-classes by delta-length, parameter degree and tube level), re-validated for
-tau-local freeness by a direct orbit check, and their rank vectors compared
-against the enumerated positive roots.  Failures are report content, not
-exceptions; a hard error only signals that a generated witness failed its
-own re-validation.
+classes by delta-length, parameter degree and tube level), and their rank
+vectors compared against the enumerated positive roots.  Each orbit is
+walked once, every walked module is checked locally free, and each step is
+retraced by the opposite translation.  Failures are report content, not
+exceptions; a hard error only signals that a generated witness failed one
+of these checks.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
-from .artrans import ar_sequence_starting_at, tau, tau_inv, tube_bottom
+from .artrans import tau, tau_inv, tube_bottom, tube_rows
 from .errors import DomainError, InternalCheckError
 from .modules import (
     ZERO,
@@ -30,6 +33,7 @@ from .modules import (
 )
 from .roots import (
     beta,
+    bounded_orbit,
     cartan,
     coxeter,
     delta,
@@ -42,11 +46,28 @@ from .roots import (
 from .strings import delta_length, enumerate_bands
 
 
+WINDOW = 10  # modules of each witness's tau-orbit checked on either side, itself included
+
+
 @dataclass(frozen=True)
 class Witness:
     family: str  # preprojective | preinjective | tube | band
-    label: str
     module: object
+    vertex: int | None = None    # orbits: the start P_vertex or I_vertex
+    step: int | None = None      # orbits: tau-steps from the start
+    level: int | None = None     # tube row, or band module level
+    position: int | None = None  # place in the tube row
+
+    @property
+    def label(self):
+        if self.family == "preprojective":
+            return f"tau^-{self.step} P_{self.vertex}"
+        if self.family == "preinjective":
+            return f"tau^{self.step} I_{self.vertex}"
+        if self.family == "tube":
+            return f"level {self.level} pos {self.position}"
+        m = self.module
+        return f"dl={delta_length(m.band)} deg={m.param_degree} level={self.level}"
 
 
 @dataclass
@@ -117,83 +138,70 @@ class GLSReport:
         return "\n".join(lines)
 
 
-def _revalidate_tau_locally_free(m, window):
-    """Double entry: check local freeness along the tau-orbit directly."""
-    for step in (tau, tau_inv):
-        cur = m
-        for _ in range(window):
-            if cur is ZERO:
-                break
-            if not is_locally_free(cur):
-                raise InternalCheckError(
-                    f"witness {format_module(m)} fails tau-orbit local freeness at {format_module(cur)}")
-            cur = step(cur)
+def _orbit(m, step):
+    """(module, rank vector) along the orbit of m; each must be locally free."""
+    while m is not ZERO:
+        if not is_locally_free(m):
+            raise InternalCheckError(f"tau-orbit module {format_module(m)} is not locally free")
+        yield m, rank_vector(m)
+        m = step(m)
 
 
-def _tube_rows_within(p, bound):
-    """Tube rows (level by level) while some module is within the height bound."""
-    rows = [tube_bottom(p)]
-    while True:
-        prev = set(rows[-2]) if len(rows) >= 2 else set()
-        nxt = []
-        for x in rows[-1]:
-            seq = ar_sequence_starting_at(x)
-            ups = [mid for mid in seq.middle if mid not in prev]
-            if len(ups) != 1:
-                raise InternalCheckError("tube ray step is not unique")
-            nxt.append(ups[0])
-        if min(height(rank_vector(x)) for x in nxt) > bound:
-            return rows
-        rows.append(nxt)
+def _orbit_witnesses(cd, start, step, back, bound):
+    """(r, step^r(start)) for the modules of height <= bound on the orbit.
+
+    The orbit is walked once, through the stopping rule of `bounded_orbit`
+    and on to WINDOW - 1 steps past the last module returned, and `back`
+    retraces every step: back(start) is zero and back(walked[k]) is
+    walked[k-1].
+    """
+    orbit = _orbit(start, step)
+    walked = list(bounded_orbit(cd, orbit, bound, itemgetter(1)))
+    inside = [r for r, (_, rv) in enumerate(walked) if height(rv) <= bound]
+    if inside:
+        walked += islice(orbit, max(0, inside[-1] + WINDOW - len(walked)))
+    modules = [m for m, _ in walked]
+    if back(start) is not ZERO:
+        raise InternalCheckError(f"{format_module(start)} does not start its tau-orbit")
+    for prev, m in zip(modules, modules[1:]):
+        if back(m) != prev:
+            raise InternalCheckError(f"tau-orbit step {format_module(prev)} -> "
+                                     f"{format_module(m)} is not retraced")
+    return [(r, modules[r]) for r in inside]
 
 
-def tau_locally_free_rank_vectors(p, bound, window=10):
+def tau_locally_free_rank_vectors(p, bound):
     """Map rank vector -> witnesses among tau-locally free modules of height
-    <= bound, assembled from the four families and re-validated directly."""
+    <= bound, assembled from the four families and checked as they are built:
+    orbits as in `_orbit_witnesses`, each tube row (locally free, closed under
+    tau and tau^-1) and each band module (locally free, fixed by tau) once."""
     if bound < 0:
         raise DomainError("bound must be >= 0")
-    n = p.n
+    cd = cartan(p.n)
     witnesses = {}
 
-    def add(rank, w):
-        witnesses.setdefault(rank, []).append(w)
+    def add(w):
+        witnesses.setdefault(rank_vector(w.module), []).append(w)
 
-    guard = 2 * n
     for i in p.vertices:
-        m = projective_string(p, i)
-        r = 0
-        misses = 0
-        while misses < guard and m is not ZERO:
-            rv = rank_vector(m)
-            if height(rv) <= bound:
-                _revalidate_tau_locally_free(m, window)
-                add(rv, Witness("preprojective", f"tau^-{r} P_{i}", m))
-                misses = 0
-            else:
-                misses += 1
-            m = tau_inv(m)
-            r += 1
-        m = injective_string(p, i)
-        s = 0
-        misses = 0
-        while misses < guard and m is not ZERO:
-            rv = rank_vector(m)
-            if height(rv) <= bound:
-                _revalidate_tau_locally_free(m, window)
-                add(rv, Witness("preinjective", f"tau^{s} I_{i}", m))
-                misses = 0
-            else:
-                misses += 1
-            m = tau(m)
-            s += 1
+        for r, m in _orbit_witnesses(cd, projective_string(p, i), tau_inv, tau, bound):
+            add(Witness("preprojective", m, vertex=i, step=r))
+        for s, m in _orbit_witnesses(cd, injective_string(p, i), tau, tau_inv, bound):
+            add(Witness("preinjective", m, vertex=i, step=s))
     if bound >= 1:
-        for level, row in enumerate(_tube_rows_within(p, bound), start=1):
-            for pos, m in enumerate(row):
-                rv = rank_vector(m)
+        for level, row in enumerate(tube_rows(p), start=1):
+            members = set(row)
+            for m in row:
+                if not is_locally_free(m) or tau(m) not in members or tau_inv(m) not in members:
+                    raise InternalCheckError(f"tube row {level} is not a tau-orbit of locally "
+                                             f"free modules at {format_module(m)}")
+            ranks = [rank_vector(m) for m in row]
+            if min(map(height, ranks)) > bound:
+                break
+            for pos, (m, rv) in enumerate(zip(row, ranks)):
                 if height(rv) <= bound:
-                    _revalidate_tau_locally_free(m, window)
-                    add(rv, Witness("tube", f"level {level} pos {pos}", m))
-    ht_delta = height(delta(cartan(n)))
+                    add(Witness("tube", m, level=level, position=pos))
+    ht_delta = height(delta(cd))
     max_dl = bound // ht_delta
     if max_dl >= 1:
         for b in enumerate_bands(p, max_dl):
@@ -203,20 +211,21 @@ def tau_locally_free_rank_vectors(p, bound, window=10):
                 level = 1
                 while t * s * level * ht_delta <= bound:
                     m = band_module(b, canonical_simple_param(s), level)
-                    rv = rank_vector(m)
-                    _revalidate_tau_locally_free(m, window)
-                    add(rv, Witness("band", f"dl={t} deg={s} level={level}", m))
+                    if not is_locally_free(m) or tau(m) != m:
+                        raise InternalCheckError(f"band module {format_module(m)} is not "
+                                                 f"tau-locally free")
+                    add(Witness("band", m, level=level))
                     level += 1
                 s += 1
     return witnesses
 
 
-def check_gls(p, bound, scalar=Fraction, window=10):
+def check_gls(p, bound, scalar=Fraction):
     """Compare rank vectors of tau-locally free modules with positive roots."""
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
-    table = tau_locally_free_rank_vectors(p, bound, window)
+    table = tau_locally_free_rank_vectors(p, bound)
     missing = sorted(roots_set - set(table))
     extra = sorted(set(table) - roots_set)
     problems = []
@@ -244,7 +253,7 @@ def check_gls(p, bound, scalar=Fraction, window=10):
                 problems.append(f"imaginary root {root}: expected {p.n - 1} tube witnesses, "
                                 f"got {len(tube_ws)}")
             expected_level = m * (p.n - 1)
-            if any(w.label.split()[1] != str(expected_level) for w in tube_ws):
+            if any(w.level != expected_level for w in tube_ws):
                 problems.append(f"imaginary root {root}: tube witnesses not at level {expected_level}")
             expected_band = 0
             for t, count in bands_by_dl.items():

@@ -2,8 +2,12 @@
 
 These deliberately avoid the library's word machinery: they work on plain
 (name, sign) tuples read off the presentation structure, so they can
-disagree with the implementation if either is wrong.
+disagree with the implementation if either is wrong.  The tau-orbit oracle
+is the exception: it walks the library's translation, but from each module
+separately, as the verifier did before it walked each orbit once.
 """
+
+from strandbox import ZERO, is_locally_free, tau, tau_inv
 
 
 def _arrow_maps(p):
@@ -109,3 +113,17 @@ def reflection_closure_alt(cd, bound, reflect, delta_vec):
         found.add(tuple(m * v for v in delta_vec))
         m += 1
     return found
+
+
+def fails_tau_local_freeness(m, window=10):
+    """Whether some module among the `window` nearest of m's tau-orbit on
+    either side (m included) is not locally free."""
+    for step in (tau, tau_inv):
+        cur = m
+        for _ in range(window):
+            if cur is ZERO:
+                break
+            if not is_locally_free(cur):
+                return True
+            cur = step(cur)
+    return False

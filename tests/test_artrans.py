@@ -42,6 +42,7 @@ from strandbox.artrans import irreducible_neighbors
 from strandbox.modules import dim_sum
 
 from conftest import all_orientations
+from oracles import fails_tau_local_freeness
 
 W1 = "a21~.a32~.e3.a32.a21"
 
@@ -369,23 +370,11 @@ def test_classify_kinds(a3):
     assert classify_component(b) == ("HomogeneousTube", 1)
 
 
-def _fails_tau_local_freeness(m, window=10):
-    for step in (tau, tau_inv):
-        cur = m
-        for _ in range(window):
-            if cur is ZERO:
-                break
-            if not is_locally_free(cur):
-                return True
-            cur = step(cur)
-    return False
-
-
 def test_za_window_has_no_tau_locally_free_module(a3):
     for m in minimal_strings(a3, max_len=8)[(2, 2)]:
         g = build_component(m, 4)
         for node in g.nodes.values():
-            assert _fails_tau_local_freeness(node)
+            assert fails_tau_local_freeness(node)
 
 
 def test_exports(a3):

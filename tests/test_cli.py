@@ -111,3 +111,14 @@ def test_band_module_text_round_trip(capsys):
                        "band(e1.a21~.a32~.e3.a32.a21;1;2)")
     assert code == 0
     assert out.strip() == "band(e1.a21~.a32~.e3.a32.a21;1;2)"
+
+
+def test_verify_coxeter_rejects_a_non_numeric_sequence(capsys):
+    code, _, err = run(capsys, "verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "a,b")
+    assert code == 2 and "error" in err
+
+
+def test_component_rejects_a_negative_radius(capsys):
+    code, _, err = run(capsys, "component", "--n", "3", "--orient", "RR",
+                       "triv(2)", "--radius", "-1")
+    assert code == 2 and "error" in err

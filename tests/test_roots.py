@@ -223,6 +223,39 @@ def test_closed_form_matches_bfs():
         enumerate_positive_roots(cd, 12)
     with pytest.raises(DomainError):
         closed_form_positive_roots(cd, omega, (1, 2, 3), 12)
+    for n, bound in ((6, 20), (7, 21), (8, 28)):
+        cd = cartan(n)
+        bfs = enumerate_positive_roots(cd, bound)
+        for orient in all_orientations(n):
+            seq = admissible_sequences(orient, "+")[0]
+            assert closed_form_positive_roots(cd, tuple(orient), seq, bound) == bfs, orient
+
+
+def test_coxeter_power_n_minus_1_is_a_delta_shift():
+    # the premise of the stopping rule in roots.bounded_orbit
+    for n in range(3, 9):
+        cd = cartan(n)
+        dl = delta(cd)
+        basis = tuple(simple_root(cd, i) for i in range(1, n + 1))
+        for orient in all_orientations(n):
+            # c(e_1), ..., c(e_n) for every +-admissible sequence.  Sequences
+            # come in lexicographic order; each reuses the partial products
+            # of the prefix it shares with the one before (n = 8 has 40320).
+            images = set()
+            prefix, partial = (), [basis]
+            for seq in admissible_sequences(orient, "+"):
+                k = next((j for j, (a, b) in enumerate(zip(prefix, seq)) if a != b), 0)
+                del partial[k + 1:]
+                for i in seq[k:]:
+                    partial.append(tuple(reflect(cd, i, x) for x in partial[-1]))
+                prefix = seq
+                images.add(partial[-1])
+            assert len(images) == 1, orient  # one Coxeter transformation per orientation
+            cox = coxeter(cd, seq)
+            for e in basis:
+                for power in (n - 1, 1 - n):
+                    shift = [a - b for a, b in zip(cox.apply(e, power), e)]
+                    assert shift == [shift[0] * d for d in dl], (orient, e, power)
 
 
 def test_closed_form_families_disjoint():

@@ -21,6 +21,9 @@ from strandbox import (
     tau_locally_free_rank_vectors,
 )
 
+from conftest import all_orientations
+from oracles import fails_tau_local_freeness
+
 
 def test_preprojective_ranks_follow_coxeter(a3):
     cd = cartan(3)
@@ -54,6 +57,16 @@ def test_witness_table_small(a3):
     for root, witnesses in table.items():
         if quadratic(cd, root) in (1, 2):
             assert len(witnesses) == 1, root
+
+
+def test_no_witness_fails_the_orbit_oracle():
+    # the verifier walks each orbit once; the oracle walks from every witness
+    for n in (3, 4, 5):
+        for orient in all_orientations(n):
+            p = build_type_C_algebra(n, orient)
+            for ws in tau_locally_free_rank_vectors(p, 14).values():
+                for w in ws:
+                    assert not fails_tau_local_freeness(w.module), (orient, w.label)
 
 
 def test_check_gls_passes(a3):
@@ -106,8 +119,6 @@ def test_check_tube_invariants(a4):
 
 
 def test_check_tube_invariants_all_orientations_n4():
-    from conftest import all_orientations
-
     for orient in all_orientations(4):
         p = build_type_C_algebra(4, orient)
         rep = check_tube_invariants(p)
