@@ -56,6 +56,13 @@ class Presentation:
     def vertices(self):
         return range(1, self.n + 1)
 
+    def __hash__(self):
+        # Every per-presentation table is looked up by this hash.  Equal
+        # presentations agree on (n, orientation), and hashing only those
+        # avoids rehashing every arrow; generic presentations of one size
+        # share a bucket and are told apart by equality.
+        return hash((self.n, self.orientation))
+
     def __repr__(self):
         o = "".join(self.orientation) if self.orientation else "generic"
         return f"Presentation(n={self.n}, {o})"
@@ -130,9 +137,14 @@ def relation_lengths(p: Presentation):
     return tuple(sorted({len(r) for r in p.relations}))
 
 
+@lru_cache(maxsize=None)
+def relation_set(p: Presentation):
+    return frozenset(p.relations)
+
+
 def path_in_ideal(p: Presentation, path):
     """True iff the composable path (word order) has a relation as a factor."""
-    rels = set(p.relations)
+    rels = relation_set(p)
     m = len(path)
     for length in relation_lengths(p):
         if length > m:

@@ -441,9 +441,14 @@ def parse_module(p, text):
     if text.startswith("band(") and text.endswith(")"):
         inner = text[5:-1]
         parts = inner.split(";")
+        if len(parts) > 3:
+            raise DomainError(f"bad band module: {text!r}")
         band = parse_band(p, parts[0])
-        deg = int(parts[1]) if len(parts) > 1 else 1
-        level = int(parts[2]) if len(parts) > 2 else 1
+        try:
+            deg = int(parts[1]) if len(parts) > 1 else 1
+            level = int(parts[2]) if len(parts) > 2 else 1
+        except ValueError:
+            raise DomainError(f"band degree and level must be integers: {text!r}") from None
         return band_module(band, canonical_simple_param(deg), level)
     return string_module(parse_word(p, text))
 

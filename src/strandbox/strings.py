@@ -10,57 +10,86 @@ Strings are identified with their inverses (relation rho); bands also with
 all rotations (rho').  Canonical representatives minimize a fixed letter
 order: loops before spine arrows, then by source vertex, direct before
 inverse.  All values are immutable.
+
+Letters are interned: ``Letter(a, s)`` is one shared instance per
+(arrow, sign), carrying its source, target, inverse and order key, so
+letters compare and hash by identity.  Validity is checked against one
+table per presentation (`_kernel`): the set of letter pairs that may stand
+next to each other (composable, not backtracking, not a length-2 relation
+or its inverse).  Relations of any other length keep the general window
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import pairwise, product
+from threading import Lock
 
 from .algebra import (
     Presentation,
+    arrow_key,
     arrow_named,
-    arrows_by_source,
-    arrows_by_target,
     is_ctilde,
     relation_lengths,
+    relation_set,
     spine_arrows,
 )
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
 
+_LETTERS = {}  # (arrow, sign) -> the interned Letter
+_LETTERS_LOCK = Lock()  # so that two threads never intern one letter twice
 
-@dataclass(frozen=True)
+
 class Letter:
-    arrow: object
-    sign: int  # +1 direct, -1 formal inverse
+    """A direct (sign +1) or formal inverse (sign -1) arrow; interned."""
 
-    @property
-    def source(self):
-        return self.arrow.target if self.sign < 0 else self.arrow.source
+    __slots__ = ("arrow", "sign", "source", "target", "inverse", "key")
 
-    @property
-    def target(self):
-        return self.arrow.source if self.sign < 0 else self.arrow.target
+    def __new__(cls, arrow, sign):
+        try:
+            return _LETTERS[arrow, sign]
+        except KeyError:
+            if sign not in (1, -1):
+                raise DomainError(f"letter sign must be 1 or -1, not {sign!r}") from None
+        with _LETTERS_LOCK:
+            if (arrow, sign) not in _LETTERS:
+                direct, inverse = object.__new__(cls), object.__new__(cls)
+                direct._fill(arrow, 1, arrow.source, arrow.target, inverse)
+                inverse._fill(arrow, -1, arrow.target, arrow.source, direct)
+                _LETTERS[arrow, 1], _LETTERS[arrow, -1] = direct, inverse
+            return _LETTERS[arrow, sign]
 
-    @property
-    def inverse(self):
-        return Letter(self.arrow, -self.sign)
+    def _fill(self, arrow, sign, source, target, inverse):
+        key = (0 if arrow.is_loop else 1, arrow.source, arrow.target, 0 if sign > 0 else 1)
+        for name, value in zip(self.__slots__, (arrow, sign, source, target, inverse, key)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("letters are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("letters are immutable")
+
+    def __reduce__(self):
+        return Letter, (self.arrow, self.sign)
 
     def __repr__(self):
         return self.arrow.name + ("~" if self.sign < 0 else "")
 
 
 def letter_key(c: Letter):
-    a = c.arrow
-    return (0 if a.is_loop else 1, a.source, a.target, 0 if c.sign > 0 else 1)
+    return c.key
 
 
 @dataclass(frozen=True)
 class StringWord:
     """A string: either trivial at a vertex (with a +-/- side tag) or a
-    nonempty word of letters."""
+    nonempty word of letters.  The hash skips the presentation; equality
+    compares it."""
 
-    presentation: Presentation
+    presentation: Presentation = field(hash=False)
     letters: tuple[Letter, ...]
     base: int | None = None
     tag: int = 1
@@ -98,7 +127,7 @@ class StringWord:
 
 @dataclass(frozen=True)
 class Band:
-    presentation: Presentation
+    presentation: Presentation = field(hash=False)
     letters: tuple[Letter, ...]
 
     def __len__(self):
@@ -134,71 +163,90 @@ def string_word(p, letters):
 def word_sort_key(w: StringWord):
     if w.is_trivial:
         return (0, (w.base,))
-    return (len(w.letters), tuple(letter_key(c) for c in w.letters))
+    return (len(w.letters), tuple(c.key for c in w.letters))
 
 
 # ---------------------------------------------------------------------------
 # validity
 # ---------------------------------------------------------------------------
 
-def _window_forbidden(p, window):
-    """True iff the letter window or its inverse is a relation."""
-    rels = set(p.relations)
+def _window_forbidden(relations, window):
+    """True iff the letter window or its inverse is one of the relations."""
     if all(c.sign > 0 for c in window):
-        if tuple(c.arrow for c in window) in rels:
-            return True
+        return tuple(c.arrow for c in window) in relations
     if all(c.sign < 0 for c in window):
-        if tuple(c.arrow for c in reversed(window)) in rels:
-            return True
+        return tuple(c.arrow for c in reversed(window)) in relations
     return False
 
 
-def _letters_valid(p, letters):
-    for c, d in zip(letters, letters[1:]):
-        if c.source != d.target:
-            return False
-        if d == c.inverse:
-            return False
-    m = len(letters)
-    for length in relation_lengths(p):
-        for i in range(m - length + 1):
-            if _window_forbidden(p, letters[i:i + length]):
-                return False
-    return True
+@dataclass(frozen=True)
+class _Kernel:
+    """The validity tables of one presentation."""
+
+    letters: frozenset  # every letter of the presentation
+    pairs: frozenset  # (c, d) such that c.d is a string
+    ending_at: dict  # vertex -> letters with that target: direct, then inverse
+    relations: frozenset
+    long_lengths: tuple  # relation lengths other than 2, for the window check
+
+
+@lru_cache(maxsize=None)
+def _kernel(p: Presentation):
+    arrows = sorted(p.arrows, key=arrow_key)
+    ordered = [Letter(a, 1) for a in arrows] + [Letter(a, -1) for a in arrows]
+    relations = relation_set(p)
+    pairs = frozenset(
+        (c, d) for c in ordered for d in ordered
+        if c.source == d.target and d is not c.inverse
+        and not _window_forbidden(relations, (c, d))
+    )
+    ending_at = {u: tuple(c for c in ordered if c.target == u) for u in p.vertices}
+    long_lengths = tuple(k for k in relation_lengths(p) if k != 2)
+    return _Kernel(frozenset(ordered), pairs, ending_at, relations, long_lengths)
+
+
+def _letters_valid(k: _Kernel, letters):
+    if not k.pairs.issuperset(pairwise(letters)):
+        return False
+    return not any(
+        _window_forbidden(k.relations, letters[i:i + length])
+        for length in k.long_lengths
+        for i in range(len(letters) - length + 1)
+    )
 
 
 def is_string(w):
     """Validity per the string definition; DomainError on foreign letters."""
     if isinstance(w, Band):
         w = StringWord(w.presentation, w.letters)
-    if isinstance(w, StringWord):
-        p, letters = w.presentation, w.letters
-        if w.is_trivial:
-            return w.base in p.vertices and w.tag in (1, -1)
-    else:
+    if not isinstance(w, StringWord):
         raise DomainError("is_string expects a StringWord or Band")
-    arrows = set(p.arrows)
-    for c in letters:
-        if c.arrow not in arrows:
-            raise DomainError(f"letter {c!r} does not belong to {p!r}")
-    return _letters_valid(p, letters)
+    p, letters = w.presentation, w.letters
+    if not letters:
+        return w.base in p.vertices and w.tag in (1, -1)
+    k = _kernel(p)
+    if not k.letters.issuperset(letters):
+        c = next(c for c in letters if c not in k.letters)
+        raise DomainError(f"letter {c!r} does not belong to {p!r}")
+    return _letters_valid(k, letters)
 
 
 def can_append(p, letters, c):
     """Whether letters + (c,) is still backtrack- and relation-free.
 
-    Assumes `letters` is already valid; only the new tail is checked.
+    Assumes `letters` is already valid and `c` a letter of `p`; only the
+    new tail is checked.
     """
-    if letters:
-        last = letters[-1]
-        if last.source != c.target:
-            return False
-        if c == last.inverse:
-            return False
-    new = tuple(letters) + (c,)
-    for length in relation_lengths(p):
-        if len(new) >= length and _window_forbidden(p, new[-length:]):
-            return False
+    k = _kernel(p)
+    if letters and (letters[-1], c) not in k.pairs:
+        return False
+    if k.long_lengths:
+        new = tuple(letters) + (c,)
+        return not any(
+            _window_forbidden(k.relations, new[-length:])
+            for length in k.long_lengths
+            if len(new) >= length
+        )
     return True
 
 
@@ -208,19 +256,18 @@ _EXTENSION_CAP = 512  # guards against non-finite-dimensional input
 def maximal_append(p, letters, sign):
     """Greedily append letters of the given sign while the word stays a string;
     returns the letters added."""
+    ending_at = _kernel(p).ending_at
     letters = list(letters)
     added = []
     while True:
-        at = letters[-1].source
-        pool = arrows_by_target(p)[at] if sign > 0 else arrows_by_source(p)[at]
-        cand = [a for a in pool if can_append(p, tuple(letters), Letter(a, sign))]
+        cand = [c for c in ending_at[letters[-1].source]
+                if c.sign == sign and can_append(p, letters, c)]
         if not cand:
             return added
         if len(cand) > 1:
             raise InternalCheckError("non-unique maximal extension; not a string algebra?")
-        c = Letter(cand[0], sign)
-        letters.append(c)
-        added.append(c)
+        letters.append(cand[0])
+        added.append(cand[0])
         if len(added) > _EXTENSION_CAP:
             raise InternalCheckError("unbounded extension; algebra not finite dimensional?")
 
@@ -257,7 +304,7 @@ def is_band(w, letters=None):
     m = len(w.letters)
     max_rel = max(relation_lengths(p), default=2)
     reps = max(2, -(-max_rel // m) + 1)
-    if not _letters_valid(p, w.letters * reps):
+    if not _letters_valid(_kernel(p), w.letters * reps):
         return False
     for d in range(1, m):
         if m % d == 0 and w.letters == w.letters[:d] * (m // d):
@@ -276,7 +323,7 @@ def canonical_band(b):
     for letters in (b.letters, tuple(c.inverse for c in reversed(b.letters))):
         for i in range(m):
             candidates.append(letters[i:] + letters[:i])
-    best = min(candidates, key=lambda ls: tuple(letter_key(c) for c in ls))
+    best = min(candidates, key=lambda ls: tuple(c.key for c in ls))
     return Band(b.presentation, best)
 
 
@@ -287,17 +334,7 @@ def canonical_band(b):
 def raw_extensions(w: StringWord):
     """All letters c with w.c a string (no side bookkeeping)."""
     p = w.presentation
-    at = w.source
-    out = []
-    for a in arrows_by_target(p)[at]:
-        c = Letter(a, 1)
-        if can_append(p, w.letters, c):
-            out.append(c)
-    for a in arrows_by_source(p)[at]:
-        c = Letter(a, -1)
-        if can_append(p, w.letters, c):
-            out.append(c)
-    return out
+    return [c for c in _kernel(p).ending_at[w.source] if can_append(p, w.letters, c)]
 
 
 def enumerate_strings(p, max_len):
@@ -366,7 +403,7 @@ def enumerate_bands(p, max_dl):
             if {c.sign for c in cand.letters} != {1, -1}:
                 raise InternalCheckError("band without both letter directions")
             seen.add(canonical_band(cand))
-    return sorted(seen, key=lambda b: (len(b.letters), tuple(letter_key(c) for c in b.letters)))
+    return sorted(seen, key=lambda b: (len(b.letters), tuple(c.key for c in b.letters)))
 
 
 def delta_length(b):

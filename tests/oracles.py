@@ -19,31 +19,41 @@ def _arrow_maps(p):
     return by_source, by_target
 
 
+def letter_ends(p):
+    """(name, sign) -> (source, target) of that letter."""
+    ends = {}
+    for a in p.arrows:
+        ends[a.name, 1] = (a.source, a.target)
+        ends[a.name, -1] = (a.target, a.source)
+    return ends
+
+
+def string_ok(p, seq):
+    """Whether the (name, sign) sequence is a string: composable, no
+    backtracking, and no window that is a relation or an inverse relation."""
+    ends = letter_ends(p)
+    relations = [tuple(a.name for a in rel) for rel in p.relations]
+    inverse_relations = [tuple(reversed(r)) for r in relations]
+    for (n1, s1), (n2, s2) in zip(seq, seq[1:]):
+        if ends[n1, s1][0] != ends[n2, s2][1]:
+            return False
+        if n1 == n2 and s1 == -s2:
+            return False
+    for length in {len(r) for r in relations}:
+        for i in range(len(seq) - length + 1):
+            window = seq[i:i + length]
+            names = tuple(n for n, _ in window)
+            if all(s > 0 for _, s in window) and names in relations:
+                return False
+            if all(s < 0 for _, s in window) and names in inverse_relations:
+                return False
+    return True
+
+
 def raw_string_classes(p, max_len):
     """All strings of length <= max_len as rho-classes of (name, sign) tuples."""
     by_source, by_target = _arrow_maps(p)
-    relations = [tuple(a.name for a in rel) for rel in p.relations]
-    inverse_relations = [tuple(reversed(r)) for r in relations]
-
-    def ok(seq):
-        for (n1, s1), (n2, s2) in zip(seq, seq[1:]):
-            if n1 == n2 and s1 == -s2:
-                return False
-        for length in {len(r) for r in relations}:
-            for i in range(len(seq) - length + 1):
-                window = seq[i:i + length]
-                names = tuple(n for n, _ in window)
-                if all(s > 0 for _, s in window) and names in relations:
-                    return False
-                if all(s < 0 for _, s in window) and names in inverse_relations:
-                    return False
-        return True
-
-    def endpoint(letter):
-        # source vertex of the letter (walk continues there)
-        name, sign = letter
-        arrow = next(a for a in p.arrows if a.name == name)
-        return arrow.source if sign > 0 else arrow.target
+    ends = letter_ends(p)
 
     classes = {("triv", u) for u in p.vertices}
     frontier = [((), u) for u in p.vertices]
@@ -54,11 +64,11 @@ def raw_string_classes(p, max_len):
             options += [(a.name, -1) for a in by_source.get(at, [])]
             for letter in options:
                 cand = seq + (letter,)
-                if not ok(cand):
+                if not string_ok(p, cand):
                     continue
                 inv = tuple((n, -s) for n, s in reversed(cand))
                 key = min(cand, inv)
-                nxt.append((cand, endpoint(letter)))
+                nxt.append((cand, ends[letter][0]))
                 classes.add(key)
         frontier = nxt
     return classes

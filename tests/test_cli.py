@@ -122,3 +122,13 @@ def test_component_rejects_a_negative_radius(capsys):
     code, _, err = run(capsys, "component", "--n", "3", "--orient", "RR",
                        "triv(2)", "--radius", "-1")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    "band(e1.a21~.a32~.e3.a32.a21;x)",
+    "band(e1.a21~.a32~.e3.a32.a21;1;two)",
+    "band(e1.a21~.a32~.e3.a32.a21;1;1;1)",
+])
+def test_tau_rejects_a_malformed_band_module(capsys, text):
+    code, _, err = run(capsys, "tau", "--n", "3", "--orient", "RR", text)
+    assert code == 2 and "error" in err
