@@ -18,17 +18,20 @@ from .algebra import (
 from .artrans import (
     ARSequence,
     ComponentGraph,
+    add_left,
+    add_right,
     ar_sequence_starting_at,
     build_component,
     classify_component,
     component_to_dot,
     component_to_json,
+    delete_left,
+    delete_right,
     extendable,
-    hook_cohook,
     index,
     is_minimal,
     minimal_strings,
-    side_extension,
+    ray,
     tau,
     tau_inv,
     tube_bottom,

@@ -1,18 +1,21 @@
 """The Butler-Ringel Auslander-Reiten calculus for string algebras.
 
-Maximal side extensions, hooks and cohooks, the four AR-sequence cases with
-the indecomposable-middle exception, the translation tau and its inverse,
+Rays, hooks and cohooks, the AR-sequences (four hook/cohook cases, the
+indecomposable-middle case, band self-extensions), tau and tau^{-1},
 indices, minimal strings, the rank-(n-1) tube and component windows.
 
-Conventions.  A hook is added on the right by w -> w.a.(a_-) for the unique
-direct extension arrow a, dually on the left; a cohook on the right by
-w -> w.b^-1.((b^-1)_+).  tau^{-1} adds hooks where a side is extendable and
-deletes cohooks where it is not; tau deletes hooks where possible and adds
-cohooks otherwise, with the indecomposable-middle sequences
-0 -> M(_-a) -> M(_-a . a . a_-) -> M(a_-) -> 0 handled first.  Only trivial
-strings need a side disambiguation; they take it from the arrow side
-functions on the presentation (the +1 slot is the "right" side of the
-canonical tag).
+Conventions.  ray(c) is the maximal string of letters of sign -c.sign that
+may follow the letter c (the paper's a_- is ray(a), (a^-1)_+ is ray(a^-1));
+if there is none it is trivial at s(c), tagged minus c's side at s(c).
+Adding with sign s on the right turns w into w.c.ray(c) for the one letter
+c of sign s that w takes there: +1 adds a hook, -1 a cohook.  Deleting with
+sign s strips such a tail; the left side is the right side of w^-1.  Per
+side, tau^{-1} adds a hook, else deletes a cohook; tau adds a cohook, else
+deletes a hook.  Ray classes come first: if M(w) = M(ray(c)), a letter c of
+sign -1 gives the indecomposable middle term M(_-a . a . a_-), a = c^-1,
+and one of sign +1 gives tau M(w) = M(ray(c^-1)).  A trivial word takes the
+letter whose side at its target (epsilon if direct, sigma if inverse) is
+its tag.
 """
 
 from __future__ import annotations
@@ -45,200 +48,101 @@ from .modules import (
 from .strings import (
     Letter,
     StringWord,
-    can_append,
     canonical_string,
     enumerate_strings,
     format_word,
     maximal_append,
+    raw_extensions,
     word,
     word_sort_key,
 )
 
 # ---------------------------------------------------------------------------
-# maximal side extensions
+# rays
 # ---------------------------------------------------------------------------
 
-def alpha_minus(p, a):
-    """Maximal inverse string z with a.z a string; trivial at s(a) if none.
+@dataclass(frozen=True)
+class _Rays:
+    """The rays of one presentation."""
 
-    A trivial result carries the side tag -sigma(a): its left slot hosts a.
-    """
-    added = maximal_append(p, [Letter(a, 1)], -1)
-    if added:
-        return word(p, added)
-    return StringWord(p, (), a.source, -out_side(p)[a])
+    ray: dict  # letter c -> ray(c)
+    side: dict  # letter c -> c's side at its target
+    by_class: dict  # canonical class of a ray -> the letters whose ray it is
 
 
-def inv_plus(p, a):
-    """(a^-1)_+ : maximal direct string z with a^-1.z a string.
-
-    A trivial result carries the side tag -epsilon(a): its left slot hosts
-    the inverse letter of a.
-    """
-    added = maximal_append(p, [Letter(a, -1)], 1)
-    if added:
-        return word(p, added)
-    return StringWord(p, (), a.target, -in_side(p)[a])
-
-
-def minus_alpha(p, a):
-    """_-(a): maximal inverse string z with z.a a string."""
-    return inv_plus(p, a).inverse
+@lru_cache(maxsize=None)
+def _rays(p):
+    eps, sigma = in_side(p), out_side(p)
+    side = {Letter(a, s): (eps if s > 0 else sigma)[a] for a in p.arrows for s in (1, -1)}
+    ray, by_class = {}, {}
+    for c in side:
+        added = maximal_append(p, [c], -c.sign)
+        ray[c] = word(p, added) if added else StringWord(p, (), c.source, -side[c.inverse])
+        by_class.setdefault(canonical_string(ray[c]), []).append(c)
+    return _Rays(ray, side, by_class)
 
 
-def plus_inv(p, a):
-    """_+(a^-1): maximal direct string z with z.a^-1 a string."""
-    return alpha_minus(p, a).inverse
+def ray(p, c):
+    """The maximal string of letters of sign -c.sign that may follow the letter c."""
+    return _rays(p).ray[c]
 
 
-_SIDE_EXTENSIONS = {
-    "alpha_minus": alpha_minus,
-    "minus_alpha": minus_alpha,
-    "plus_inv": plus_inv,
-    "inv_plus": inv_plus,
-}
-
-
-def side_extension(p, a, which):
-    try:
-        fn = _SIDE_EXTENSIONS[which]
-    except KeyError:
-        raise DomainError(f"unknown side extension {which!r}") from None
-    return fn(p, a)
-
-
-# ---------------------------------------------------------------------------
-# extendability (raw, no side bookkeeping)
-# ---------------------------------------------------------------------------
-
-def extendable(w: StringWord, mode):
-    """Whether some arrow extends w in the given mode (RDE/RIE/LDE/LIE)."""
-    if mode in ("LDE", "LIE"):
-        # (a.w)^-1 = w^-1.a^-1 and (b^-1.w)^-1 = w^-1.b
-        return extendable(w.inverse, {"LDE": "RIE", "LIE": "RDE"}[mode])
-    p = w.presentation
-    at = w.source
-    if mode == "RDE":
-        pool, sign = arrows_by_target(p)[at], 1
-    elif mode == "RIE":
-        pool, sign = arrows_by_source(p)[at], -1
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return any(can_append(p, w.letters, Letter(a, sign)) for a in pool)
+def extendable(w: StringWord, sign):
+    """Whether a letter of the given sign extends w on the right; on the
+    left it is ``extendable(w.inverse, sign)``."""
+    return bool(raw_extensions(w, sign))
 
 
 # ---------------------------------------------------------------------------
 # hooks and cohooks
 # ---------------------------------------------------------------------------
 
-def _right_arrow(w: StringWord, sign):
-    """The unique side-respecting right extension arrow of the given sign."""
-    p = w.presentation
-    if w.letters:
-        at = w.source
-        pool = arrows_by_target(p)[at] if sign > 0 else arrows_by_source(p)[at]
-        cand = [a for a in pool if can_append(p, w.letters, Letter(a, sign))]
-    else:
-        side = in_side(p) if sign > 0 else out_side(p)
-        pool = arrows_by_target(p)[w.base] if sign > 0 else arrows_by_source(p)[w.base]
-        cand = [a for a in pool if side[a] == w.tag]
+def _right_letter(w: StringWord, sign):
+    """The unique letter of the given sign that w takes on the right, or None."""
+    side = _rays(w.presentation).side
+    cand = [c for c in raw_extensions(w, sign) if w.letters or side[c] == w.tag]
     if len(cand) > 1:
         raise InternalCheckError("ambiguous side extension")
     return cand[0] if cand else None
 
 
-def add_hook_right(w):
-    """w_h = w.a.(a_-); None when the right side is not directly extendable."""
-    a = _right_arrow(w, 1)
-    if a is None:
+def add_right(w, sign):
+    """w.c.ray(c) for the right letter c of the given sign (+1 adds a hook,
+    -1 a cohook); None when w takes no such letter."""
+    c = _right_letter(w, sign)
+    if c is None:
         return None
-    p = w.presentation
-    return word(p, w.letters + (Letter(a, 1),) + alpha_minus(p, a).letters)
+    return word(w.presentation, w.letters + (c,) + ray(w.presentation, c).letters)
 
 
-def add_cohook_right(w):
-    """w_c = w.b^-1.((b^-1)_+); None when not inversely extendable."""
-    b = _right_arrow(w, -1)
-    if b is None:
-        return None
-    p = w.presentation
-    return word(p, w.letters + (Letter(b, -1),) + inv_plus(p, b).letters)
-
-
-def delete_hook_right(w):
-    """Strip a full right hook u.a.(a_-) -> u; None if w has no such shape."""
-    p = w.presentation
-    if not w.letters:
-        return None
-    k = max((i for i, c in enumerate(w.letters) if c.sign > 0), default=None)
+def delete_right(w, sign):
+    """Strip a full tail c.ray(c) with c of the given sign (+1 deletes a
+    hook, -1 a cohook); None when w does not end so."""
+    k = next((i for i in reversed(range(len(w))) if w.letters[i].sign == sign), None)
     if k is None:
         return None
-    a = w.letters[k].arrow
-    if w.letters[k + 1:] != alpha_minus(p, a).letters:
+    p, c = w.presentation, w.letters[k]
+    rays = _rays(p)
+    if w.letters[k + 1:] != rays.ray[c].letters:
         return None
-    rest = w.letters[:k]
-    if rest:
-        return word(p, rest)
-    return StringWord(p, (), a.target, in_side(p)[a])
+    if k:
+        return word(p, w.letters[:k])
+    return StringWord(p, (), c.target, rays.side[c])
 
 
-def delete_cohook_right(w):
-    """Strip a full right cohook u.b^-1.((b^-1)_+) -> u; None if absent."""
-    p = w.presentation
-    if not w.letters:
-        return None
-    k = max((i for i, c in enumerate(w.letters) if c.sign < 0), default=None)
-    if k is None:
-        return None
-    b = w.letters[k].arrow
-    if w.letters[k + 1:] != inv_plus(p, b).letters:
-        return None
-    rest = w.letters[:k]
-    if rest:
-        return word(p, rest)
-    return StringWord(p, (), b.source, out_side(p)[b])
-
-
-def _via_inverse(fn, w):
-    r = fn(w.inverse)
+def _on_inverse(fn, w, sign):
+    r = fn(w.inverse, sign)
     return None if r is None else r.inverse
 
 
-def add_hook_left(w):
-    return _via_inverse(add_hook_right, w)
+def add_left(w, sign):
+    """add_right on the inverse word, inverted back."""
+    return _on_inverse(add_right, w, sign)
 
 
-def add_cohook_left(w):
-    return _via_inverse(add_cohook_right, w)
-
-
-def delete_hook_left(w):
-    return _via_inverse(delete_hook_right, w)
-
-
-def delete_cohook_left(w):
-    return _via_inverse(delete_cohook_right, w)
-
-
-_HOOK_OPS = {
-    ("right", "add_hook"): add_hook_right,
-    ("right", "add_cohook"): add_cohook_right,
-    ("right", "delete_hook"): delete_hook_right,
-    ("right", "delete_cohook"): delete_cohook_right,
-    ("left", "add_hook"): add_hook_left,
-    ("left", "add_cohook"): add_cohook_left,
-    ("left", "delete_hook"): delete_hook_left,
-    ("left", "delete_cohook"): delete_cohook_left,
-}
-
-
-def hook_cohook(w, side, kind):
-    """Apply one hook/cohook operation; None when it does not exist."""
-    try:
-        fn = _HOOK_OPS[(side, kind)]
-    except KeyError:
-        raise DomainError(f"unknown hook operation {side!r}/{kind!r}") from None
-    return fn(w)
+def delete_left(w, sign):
+    """delete_right on the inverse word, inverted back."""
+    return _on_inverse(delete_right, w, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -257,56 +161,37 @@ class ARSequence:
         return f"0 -> {format_module(self.left)} -> {mids} -> {format_module(self.right)} -> 0"
 
 
-@lru_cache(maxsize=None)
-def _alpha_minus_classes(p):
-    """canonical class of a_- per arrow, and of _-(a)."""
-    am = {a: canonical_string(alpha_minus(p, a)) for a in p.arrows}
-    ma = {a: canonical_string(minus_alpha(p, a)) for a in p.arrows}
-    return am, ma
+_KIND = {1: "Hook", -1: "Cohook"}
 
 
-def _arrows_matching_alpha_minus(w):
-    canon = canonical_string(w)
-    am, _ = _alpha_minus_classes(w.presentation)
-    return [a for a, cls in am.items() if cls == canon]
+def _step(w, sign):
+    """One side of a translation, on the right of w: add with the given sign
+    where possible, else delete with the other.  Returns the sign operated
+    on and the new word.  (Never both apply: a tail c.ray(c) takes no letter
+    of sign -c.sign.)"""
+    v = add_right(w, sign)
+    if v is not None:
+        return sign, v
+    v = delete_right(w, -sign)
+    if v is None:
+        raise InternalCheckError(f"no side operation for {format_word(w)}")
+    return -sign, v
 
 
-def _arrows_matching_minus_alpha(w):
-    canon = canonical_string(w)
-    _, ma = _alpha_minus_classes(w.presentation)
-    return [a for a, cls in ma.items() if cls == canon]
+def _step_left(w, sign):
+    s, v = _step(w.inverse, sign)
+    return s, v.inverse
 
 
-def _indec_middle_word(p, a):
-    """_-(a) . a . a_- for the indecomposable-middle sequence."""
-    letters = minus_alpha(p, a).letters + (Letter(a, 1),) + alpha_minus(p, a).letters
-    return word(p, letters)
+def _ray_letters(w, sign):
+    """The letters c of the given sign with M(ray(c)) = M(w)."""
+    return [c for c in _rays(w.presentation).by_class.get(canonical_string(w), ()) if c.sign == sign]
 
 
-def _tau_inv_parts(w):
-    """(case_tag, middle words, right word) of the sequence starting at M(w).
-
-    Assumes w noninjective and not of the form _-(a); per side, a hook is
-    added when possible and a cohook deleted otherwise (totality asserted).
-    """
-    right_only = add_hook_right(w)
-    rtag = "Hook"
-    if right_only is None:
-        right_only = delete_cohook_right(w)
-        rtag = "Cohook"
-    if right_only is None:
-        raise InternalCheckError(f"no right-side operation for {format_word(w)}")
-    left_only = add_hook_left(w)
-    ltag = "Hook"
-    if left_only is None:
-        left_only = delete_cohook_left(w)
-        ltag = "Cohook"
-    if left_only is None:
-        raise InternalCheckError(f"no left-side operation for {format_word(w)}")
-    both = add_hook_left(right_only) if ltag == "Hook" else delete_cohook_left(right_only)
-    if both is None:
-        raise InternalCheckError(f"side operations do not combine for {format_word(w)}")
-    return ltag + rtag, (left_only, right_only), both
+def _only(results, what, w):
+    if len(results) != 1:
+        raise InternalCheckError(f"ambiguous {what} at {format_word(w)}")
+    return next(iter(results))
 
 
 def ar_sequence_starting_at(m):
@@ -318,22 +203,22 @@ def ar_sequence_starting_at(m):
         if m.level > 1:
             middle.append(band_module(m.band, m.param, m.level - 1))
         return ARSequence(m, tuple(middle), m, "BandSelf")
-    w = m.word
-    p = w.presentation
     if is_injective(m):
         return None
-    matches = _arrows_matching_minus_alpha(w)
+    w = m.word
+    p = w.presentation
+    matches = _ray_letters(w, -1)
     if matches:
-        results = {
-            (canonical_string(_indec_middle_word(p, a)), _alpha_minus_classes(p)[0][a])
-            for a in matches
-        }
-        if len(results) != 1:
-            raise InternalCheckError(f"ambiguous indecomposable-middle sequence at {format_word(w)}")
-        mid, right = next(iter(results))
-        return ARSequence(m, (string_module(mid),), string_module(right), "IndecMiddle")
-    tag, middles, both = _tau_inv_parts(w)
-    return ARSequence(m, tuple(string_module(x) for x in middles), string_module(both), tag)
+        # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
+        mid, right = _only({(string_module(add_right(ray(p, c).inverse, 1)),
+                             string_module(ray(p, c.inverse))) for c in matches},
+                           "indecomposable-middle sequence", w)
+        return ARSequence(m, (mid,), right, "IndecMiddle")
+    rsign, right = _step(w, 1)
+    lsign, left = _step_left(w, 1)
+    both = _step_left(right, 1)[1]
+    middle = (string_module(left), string_module(right))
+    return ARSequence(m, middle, string_module(both), _KIND[lsign] + _KIND[rsign])
 
 
 def tau_inv(m):
@@ -355,24 +240,11 @@ def tau(m):
     if is_projective(m):
         return ZERO
     w = m.word
-    p = w.presentation
-    matches = _arrows_matching_alpha_minus(w)
+    matches = _ray_letters(w, 1)
     if matches:
-        results = {_alpha_minus_classes(p)[1][a] for a in matches}
-        if len(results) != 1:
-            raise InternalCheckError(f"ambiguous tau at {format_word(w)}")
-        return string_module(next(iter(results)))
-    v = delete_hook_right(w)
-    if v is None:
-        v = add_cohook_right(w)
-    if v is None:
-        raise InternalCheckError(f"no right-side tau operation for {format_word(w)}")
-    v2 = delete_hook_left(v)
-    if v2 is None:
-        v2 = add_cohook_left(v)
-    if v2 is None:
-        raise InternalCheckError(f"no left-side tau operation for {format_word(w)}")
-    return string_module(v2)
+        return _only({string_module(ray(w.presentation, c.inverse)) for c in matches}, "tau", w)
+    _, right = _step(w, -1)
+    return string_module(_step_left(right, -1)[1])
 
 
 _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}
@@ -395,15 +267,11 @@ def is_minimal(w):
     w = m.word
     if is_projective(m) or is_injective(m):
         return w.is_trivial
-    has_am = bool(_arrows_matching_alpha_minus(w))
-    has_ma = bool(_arrows_matching_minus_alpha(w))
-    if has_am and has_ma:
+    hook_ray, cohook_ray = (bool(_ray_letters(w, s)) for s in (1, -1))
+    if hook_ray and cohook_ray:
         return True
-    if has_am:
-        return extendable(w, "RDE") and extendable(w, "LIE")
-    if has_ma:
-        return extendable(w, "RIE") and extendable(w, "LDE")
-    return all(extendable(w, mode) for mode in ("RDE", "RIE", "LDE", "LIE"))
+    signs = (1,) if hook_ray else (-1,) if cohook_ray else (1, -1)
+    return all(extendable(x, s) for x in (w, w.inverse) for s in signs)
 
 
 def minimal_strings(p, max_len=12):
@@ -423,11 +291,11 @@ def minimal_strings(p, max_len=12):
         if not by_tgt[u]:
             by_type[(2, 0)].append(simple_module(p, u))
     for a in spine_arrows(p):
-        by_type[(1, 1)].append(string_module(alpha_minus(p, a)))
+        by_type[(1, 1)].append(string_module(ray(p, Letter(a, 1))))
     loops = [a for a in p.arrows if a.is_loop]
     for a in loops:
-        by_type[(1, 2)].append(string_module(alpha_minus(p, a)))
-        by_type[(2, 1)].append(string_module(minus_alpha(p, a)))
+        by_type[(1, 2)].append(string_module(ray(p, Letter(a, 1))))
+        by_type[(2, 1)].append(string_module(ray(p, Letter(a, -1))))
     ends = {1, p.n}
     for w in enumerate_strings(p, max_len):
         if w.is_trivial:
@@ -452,12 +320,12 @@ def minimal_strings(p, max_len=12):
 # ---------------------------------------------------------------------------
 
 def tube_bottom(p):
-    """The bottom tau-orbit, starting from (a_-) for the spine arrow at vertex 1
+    """The bottom tau-orbit, starting from ray(a) for the spine arrow a at vertex 1
     and following tau^{-1}."""
     if not is_ctilde(p):
         raise UnsupportedPresentation("tube construction assumes the C-tilde family")
     at_one = [a for a in spine_arrows(p) if 1 in (a.source, a.target)]
-    start = string_module(alpha_minus(p, at_one[0]))
+    start = string_module(ray(p, Letter(at_one[0], 1)))
     orbit = [start]
     cur = start
     for _ in range(p.n - 2):

@@ -73,7 +73,12 @@ def cmd_bands(args):
     return 0
 
 
+MAX_POWER = 1000  # bounds the run: a step costs time linear in the word, which may grow
+
+
 def cmd_tau(args):
+    if abs(args.power) > MAX_POWER:
+        raise DomainError(f"|--power| must be at most {MAX_POWER}, not {abs(args.power)}")
     p = _presentation(args)
     m = parse_module(p, args.module)
     step = artrans.tau if args.power >= 0 else artrans.tau_inv
@@ -208,7 +213,8 @@ def build_parser():
     _add_common(s)
     s.add_argument("module", help="module text form, e.g. 'triv(2)' or 'a21~.e1'")
     s.add_argument("--power", type=int, default=1,
-                   help="tau^k; negative k applies the inverse translation")
+                   help="tau^k; negative k applies the inverse translation; "
+                        f"|k| <= {MAX_POWER}")
     s.set_defaults(fn=cmd_tau)
 
     s = subs.add_parser("component", help="breadth-first AR component window")

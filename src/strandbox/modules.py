@@ -112,15 +112,6 @@ def band_module(b, param=None, level=1):
     return BandModuleClass(b, param, level)
 
 
-def module_key(m):
-    """Stable identity used for node keys and deduplication."""
-    if m is ZERO:
-        return ("zero",)
-    if isinstance(m, StringModule):
-        return ("string", word_sort_key(m.word))
-    return ("band", tuple(map(str, m.band.letters)), m.param, m.level)
-
-
 # ---------------------------------------------------------------------------
 # dimension and rank vectors
 # ---------------------------------------------------------------------------
@@ -227,6 +218,9 @@ def build_representation(m, scalar=Fraction):
             mats[c.arrow.name][index[tgt_pos]][index[src_pos]] = one
         return Representation(p, dims, mats, scalar)
 
+    if not scalar(m.param[0]):
+        raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
+                          f" over {scalar!r}; it gives no band module there")
     p = m.band.presentation
     walk = m.band.walk()
     mcount = len(walk)

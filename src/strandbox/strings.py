@@ -253,20 +253,26 @@ def can_append(p, letters, c):
 _EXTENSION_CAP = 512  # guards against non-finite-dimensional input
 
 
+def raw_extensions(w: StringWord, sign=None):
+    """All letters c (of the given sign, if one is given) with w.c a string;
+    no side bookkeeping."""
+    p = w.presentation
+    return [c for c in _kernel(p).ending_at[w.source]
+            if sign in (None, c.sign) and can_append(p, w.letters, c)]
+
+
 def maximal_append(p, letters, sign):
     """Greedily append letters of the given sign while the word stays a string;
     returns the letters added."""
-    ending_at = _kernel(p).ending_at
-    letters = list(letters)
+    w = word(p, letters)
     added = []
     while True:
-        cand = [c for c in ending_at[letters[-1].source]
-                if c.sign == sign and can_append(p, letters, c)]
+        cand = raw_extensions(w, sign)
         if not cand:
             return added
         if len(cand) > 1:
             raise InternalCheckError("non-unique maximal extension; not a string algebra?")
-        letters.append(cand[0])
+        w = word(p, w.letters + (cand[0],))
         added.append(cand[0])
         if len(added) > _EXTENSION_CAP:
             raise InternalCheckError("unbounded extension; algebra not finite dimensional?")
@@ -330,12 +336,6 @@ def canonical_band(b):
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def raw_extensions(w: StringWord):
-    """All letters c with w.c a string (no side bookkeeping)."""
-    p = w.presentation
-    return [c for c in _kernel(p).ending_at[w.source] if can_append(p, w.letters, c)]
-
 
 def enumerate_strings(p, max_len):
     """All rho-classes of strings of length <= max_len, canonically sorted.

@@ -50,6 +50,20 @@ def string_ok(p, seq):
     return True
 
 
+def maximal_ray(p, name, sign):
+    """The letters of sign -sign that follow the letter (name, sign) in the
+    longest string made only of such letters after it, found by trying every
+    arrow at each step; asserts that there is one choice at most."""
+    names = sorted(a.name for a in p.arrows)
+    seq = ((name, sign),)
+    while True:
+        options = [(b, -sign) for b in names if string_ok(p, seq + ((b, -sign),))]
+        assert len(options) <= 1 and len(seq) <= 4 * len(names), (name, sign, seq)
+        if not options:
+            return seq[1:]
+        seq += tuple(options)
+
+
 def raw_string_classes(p, max_len):
     """All strings of length <= max_len as rho-classes of (name, sign) tuples."""
     by_source, by_target = _arrow_maps(p)

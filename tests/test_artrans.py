@@ -4,6 +4,10 @@ import pytest
 
 from strandbox import (
     ZERO,
+    Letter,
+    StringWord,
+    add_left,
+    add_right,
     ar_sequence_starting_at,
     band_module,
     build_component,
@@ -13,13 +17,14 @@ from strandbox import (
     classify_component,
     component_to_dot,
     component_to_json,
+    delete_left,
+    delete_right,
     dim_vector,
     enumerate_bands,
     enumerate_strings,
     extendable,
     format_module,
     format_word,
-    hook_cohook,
     index,
     injective_string,
     is_injective,
@@ -30,7 +35,7 @@ from strandbox import (
     parse_word,
     projective_string,
     rank_vector,
-    side_extension,
+    ray,
     simple_module,
     string_module,
     tau,
@@ -42,13 +47,17 @@ from strandbox.artrans import irreducible_neighbors
 from strandbox.modules import dim_sum
 
 from conftest import all_orientations
-from oracles import fails_tau_local_freeness
+from oracles import fails_tau_local_freeness, maximal_ray, string_ok
 
 W1 = "a21~.a32~.e3.a32.a21"
 
 
-def _arrow(p, name):
-    return next(a for a in p.arrows if a.name == name)
+def _letter(p, name, sign):
+    return Letter(next(a for a in p.arrows if a.name == name), sign)
+
+
+def _names(letters):
+    return tuple((c.arrow.name, c.sign) for c in letters)
 
 
 # ---------------------------------------------------------------------------
@@ -56,38 +65,54 @@ def _arrow(p, name):
 # ---------------------------------------------------------------------------
 
 def test_side_extension_examples(a3, a4):
-    e1 = _arrow(a3, "e1")
-    assert side_extension(a3, e1, "minus_alpha").is_trivial  # M(_-(e1)) = S_1
-    assert format_word(side_extension(a3, e1, "alpha_minus")) == "a21~.a32~.e3~"
-    e4 = _arrow(a4, "e4")
-    assert side_extension(a4, e4, "alpha_minus").is_trivial  # M((e_n)_-) = S_n in type (3-1)
-    a21 = _arrow(a3, "a21")
-    assert format_word(side_extension(a3, a21, "alpha_minus")) == "e1~.a21~.a32~.e3~"
+    e1 = _letter(a3, "e1", 1)
+    assert ray(a3, e1.inverse).inverse.is_trivial  # M(_-(e1)) = S_1
+    assert format_word(ray(a3, e1)) == "a21~.a32~.e3~"  # (e1)_-
+    e4 = _letter(a4, "e4", 1)
+    assert ray(a4, e4).is_trivial  # M((e_n)_-) = S_n in type (3-1)
+    a21 = _letter(a3, "a21", 1)
+    assert format_word(ray(a3, a21)) == "e1~.a21~.a32~.e3~"
 
 
-def test_side_extension_inverse_pairs(a3):
-    for a in a3.arrows:
-        am = side_extension(a3, a, "alpha_minus")
-        assert side_extension(a3, a, "plus_inv") == am.inverse
-        ma = side_extension(a3, a, "minus_alpha")
-        assert side_extension(a3, a, "inv_plus") == ma.inverse
+def test_ray_matches_the_oracle():
+    for n in (3, 4, 5):
+        for orient in all_orientations(n):
+            p = build_type_C_algebra(n, orient)
+            names = sorted(a.name for a in p.arrows)
+            for a in p.arrows:
+                for c in (Letter(a, 1), Letter(a, -1)):
+                    r = ray(p, c)
+                    assert _names(r.letters) == maximal_ray(p, a.name, c.sign), (orient, c)
+                    assert r.target == c.source
+                    tail = _names((c,) + r.letters)
+                    assert not any(string_ok(p, tail + ((b, -c.sign),)) for b in names)
+                    assert not extendable(StringWord(p, (c,) + r.letters), -c.sign)
 
 
 def test_extendable_examples(a3):
-    assert extendable(canonical_string(parse_word(a3, "triv(1)")), "RDE")
+    assert extendable(canonical_string(parse_word(a3, "triv(1)")), 1)
     w0 = parse_word(a3, "a32.a21")
-    assert extendable(w0, "LIE")
+    assert extendable(w0.inverse, 1)  # on the left, by an inverse letter
     # e1 cannot be extended by e1 again: relation on the direct side,
     # backtrack on the inverse side
     e1 = parse_word(a3, "e1")
-    assert not extendable(e1, "RDE")
-    assert extendable(e1, "RIE")  # via a21~
+    assert not extendable(e1, 1)
+    assert extendable(e1, -1)  # via a21~
 
 
 def test_extendable_left_right_duality(a3):
+    # extendable(w.inverse, sign): a letter of sign -sign may stand left of w
+    names = sorted(a.name for a in a3.arrows)
     for w in enumerate_strings(a3, 5):
-        assert extendable(w, "LIE") == extendable(w.inverse, "RDE")
-        assert extendable(w, "LDE") == extendable(w.inverse, "RIE")
+        seq = _names(w.letters)
+        for sign in (1, -1):
+            right = any(string_ok(a3, seq + ((b, sign),)) for b in names)
+            left = any(string_ok(a3, ((b, -sign),) + seq) for b in names)
+            if w.is_trivial:
+                right = left = any(a.target == w.base for a in a3.arrows) if sign > 0 \
+                    else any(a.source == w.base for a in a3.arrows)
+            assert extendable(w, sign) == right
+            assert extendable(w.inverse, sign) == left
 
 
 # ---------------------------------------------------------------------------
@@ -98,37 +123,35 @@ def test_trivial_hooks_at_loop_vertex(a3):
     # At the Q^0-sink n the right hook continues along the spine, so that the
     # whole hook ray misses the loop; the loop hook sits on the left.
     t3 = canonical_string(parse_word(a3, "triv(3)"))
-    right = hook_cohook(t3, "right", "add_hook")
+    right = add_right(t3, 1)
     assert format_word(right) == "a32"
-    left = hook_cohook(t3, "left", "add_hook")
+    left = add_left(t3, 1)
     assert format_word(left) == "e3~"  # the module M(e3) = P_3
 
 
 def test_hook_commutation(a3):
     for w in enumerate_strings(a3, 6):
-        wh = hook_cohook(w, "right", "add_hook")
-        hw = hook_cohook(w, "left", "add_hook")
+        wh = add_right(w, 1)
+        hw = add_left(w, 1)
         if wh is None or hw is None:
             continue
-        a = hook_cohook(wh, "left", "add_hook")
-        b = hook_cohook(hw, "right", "add_hook")
+        a = add_left(wh, 1)
+        b = add_right(hw, 1)
         assert a is not None and b is not None and a == b
 
 
 def test_hook_round_trips(a3):
     for w in enumerate_strings(a3, 6):
-        for add, dele in (("add_hook", "delete_hook"), ("add_cohook", "delete_cohook")):
-            for side in ("left", "right"):
-                added = hook_cohook(w, side, add)
+        for sign in (1, -1):  # +1: hooks, -1: cohooks
+            for add, dele in ((add_right, delete_right), (add_left, delete_left)):
+                added = add(w, sign)
                 if added is not None:
-                    back = hook_cohook(added, side, dele)
+                    back = dele(added, sign)
                     assert back is not None
                     assert canonical_string(back) == canonical_string(w)
-        for dele, add in (("delete_cohook", "add_cohook"), ("delete_hook", "add_hook")):
-            for side in ("left", "right"):
-                deleted = hook_cohook(w, side, dele)
+                deleted = dele(w, sign)
                 if deleted is not None:
-                    again = hook_cohook(deleted, side, add)
+                    again = add(deleted, sign)
                     assert again is not None and again == w
 
 
@@ -299,23 +322,22 @@ def test_tube_level_ranks_are_window_sums(a4_rrl):
 def test_rays_not_locally_free(a3, a4):
     for p in (a3, a4):
         for loop in (a for a in p.arrows if a.is_loop):
-            w = side_extension(p, loop, "alpha_minus")  # type (1,2) minimal
+            w = ray(p, Letter(loop, 1))  # type (1,2) minimal
             for _ in range(6):
                 assert not is_locally_free(string_module(w))
-                w = hook_cohook(w, "right", "add_hook")
+                w = add_right(w, 1)
                 assert w is not None
-            w = side_extension(p, loop, "minus_alpha")  # type (2,1) minimal
+            w = ray(p, Letter(loop, -1)).inverse  # type (2,1) minimal
             for _ in range(6):
                 assert not is_locally_free(string_module(w))
-                w = hook_cohook(w, "left", "add_cohook")
+                w = add_left(w, -1)
                 assert w is not None
         for m in minimal_strings(p, max_len=8)[(2, 2)]:
-            for side, kind in (("right", "add_hook"), ("left", "add_hook"),
-                               ("right", "add_cohook"), ("left", "add_cohook")):
+            for add, sign in ((add_right, 1), (add_left, 1), (add_right, -1), (add_left, -1)):
                 w = m.word
                 for _ in range(5):
                     assert not is_locally_free(string_module(w))
-                    w = hook_cohook(w, side, kind)
+                    w = add(w, sign)
                     assert w is not None
 
 
@@ -326,22 +348,15 @@ def test_rays_not_locally_free(a3, a4):
 def test_ray_steps_preserve_extendability(a3, a4_rrl):
     for p in (a3, a4_rrl):
         for w in enumerate_strings(p, 5):
-            if extendable(w, "RDE"):
-                wh = hook_cohook(w, "right", "add_hook")
-                if wh is not None:
-                    assert extendable(wh, "RDE")
-            if extendable(w, "LIE"):
-                hw = hook_cohook(w, "left", "add_hook")
-                if hw is not None:
-                    assert extendable(hw, "LIE")
-            if extendable(w, "RIE"):
-                wc = hook_cohook(w, "right", "add_cohook")
-                if wc is not None:
-                    assert extendable(wc, "RIE")
-            if extendable(w, "LDE"):
-                cw = hook_cohook(w, "left", "add_cohook")
-                if cw is not None:
-                    assert extendable(cw, "LDE")
+            for sign in (1, -1):
+                if extendable(w, sign):
+                    wr = add_right(w, sign)
+                    if wr is not None:
+                        assert extendable(wr, sign)
+                if extendable(w.inverse, sign):
+                    lw = add_left(w, sign)
+                    if lw is not None:
+                        assert extendable(lw.inverse, sign)
 
 
 def test_minimal_22_smallest_in_window(a3):

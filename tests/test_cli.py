@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from strandbox.cli import main
+from strandbox.cli import MAX_POWER, main
 
 
 def run(capsys, *argv):
@@ -132,3 +136,26 @@ def test_component_rejects_a_negative_radius(capsys):
 def test_tau_rejects_a_malformed_band_module(capsys, text):
     code, _, err = run(capsys, "tau", "--n", "3", "--orient", "RR", text)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("power", [str(MAX_POWER + 1), "-100000000", "100000000"])
+def test_tau_rejects_a_power_above_the_limit(power):
+    # in a child process, so that a missing limit fails the test instead of hanging it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "strandbox.cli", "tau", "--n", "3", "--orient", "RR", "triv(2)",
+         "--power", power],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 2 and "error" in done.stderr and str(MAX_POWER) in done.stderr
+
+
+def test_tau_accepts_the_power_limit_and_documents_it(capsys):
+    code, out, _ = run(capsys, "tau", "--n", "3", "--orient", "RR", "triv(2)",
+                       "--power", str(-MAX_POWER))
+    assert code == 0 and out.strip()
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--help"])
+    assert exc.value.code == 0
+    assert f"|k| <= {MAX_POWER}" in " ".join(capsys.readouterr().out.split())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strandbox import (
+    DomainError,
     NotLocallyFree,
     band_module,
     build_representation,
@@ -22,6 +23,7 @@ from strandbox import (
     is_locally_free,
     is_projective,
     is_rigid,
+    parse_band,
     parse_module,
     parse_word,
     projective_string,
@@ -198,6 +200,14 @@ def test_hom_over_prime_field(a3):
     p1 = projective_string(a3, 1)
     assert hom_dim_modules(p1, p1, gf) == 2
     assert hom_dim_modules(simple_module(a3, 2), simple_module(a3, 2), gf) == 1
+
+
+def test_band_parameter_with_zero_constant_term_in_the_field_is_rejected(a3):
+    # T^2 - 2 is T^2 over GF(2), which gives no band module
+    m = band_module(parse_band(a3, W2), canonical_simple_param(2))
+    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*constant term 0 over PrimeField\(2\)"):
+        hom_dim_modules(m, m, scalar_from_spec("fp:2"))
+    assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
 
 def test_module_text_and_json_round_trip(a3):
