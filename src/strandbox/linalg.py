@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals or a prime field.
 
 Matrices are plain lists of lists whose entries support +, -, *, / and
-compare truthy when nonzero (Fraction does; GFElement below does).  All
-eliminations are exact, no floating point anywhere.
+compare truthy when nonzero (Fraction does; GFElement below does).  Rank is
+taken of sparse rows {column: entry} holding Fractions, or plain ints mod p
+over GF(p).  All eliminations are exact, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -93,7 +94,11 @@ def scalar_from_spec(spec):
     if spec == "rat":
         return Fraction
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise DomainError(f"bad field spec {spec!r}: fp: takes a prime, as in fp:101") from None
+        return PrimeField(p)
     raise DomainError(f"unknown field spec: {spec!r}")
 
 
@@ -127,41 +132,54 @@ def mat_mul(a, b, scalar=Fraction):
     return out
 
 
-def mat_rank(rows):
-    """Rank by destructive Gaussian elimination; `rows` is consumed."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
+def characteristic(scalar):
+    """0 for the rationals, p for the prime field GF(p)."""
+    return scalar.p if isinstance(scalar, PrimeField) else 0
+
+
+def mat_rank(rows, char=0):
+    """Rank of sparse rows, each a dict {column: entry}, over the field of
+    characteristic `char`: Fraction or int entries over Q (char 0), int
+    entries over GF(char), reduced here.
+
+    Incremental echelon form: each row is reduced by the stored pivot rows at
+    its leading (smallest) column until it vanishes or becomes a new pivot
+    row, stored scaled to 1 at its lead.  The rank does not depend on the
+    order of the rows.
+    """
+    pivots = {}
+    for row in rows:
+        if char:
+            row = {c: v % char for c, v in row.items() if v % char}
+        else:
+            row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            f = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if char:
+                    inv = pow(f, char - 2, char)
+                    pivots[lead] = {c: v * inv % char for c, v in row.items()}
+                else:
+                    inv = 1 / Fraction(f)
+                    pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if not f:
-                continue
-            f = f / pval
-            rr = rows[r]
-            for c in range(col, ncols):
-                rr[c] = rr[c] - f * prow[c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if char:
+                    x %= char
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def mat_inverse(a, scalar=Fraction):
     """Inverse of a square matrix; raises on singular input."""
     n = len(a)
-    aug = [list(a[i]) + identity_matrix(n, scalar)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n, scalar))]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -195,6 +213,46 @@ def poly_pow(a, k):
     for _ in range(k):
         out = poly_mul(out, a)
     return out
+
+
+def _poly_rem(a, b, p):
+    """Remainder of a by b over GF(p), trimmed; b has a nonzero leading term."""
+    a = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] * inv % p
+        if q:
+            for k, bk in enumerate(b):
+                a[top - db + k] = (a[top - db + k] - q * bk) % p
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def is_irreducible_mod(poly, p):
+    """Whether a monic polynomial (ascending int coefficients, degree >= 1) is
+    irreducible over GF(p), by the distinct-degree test: a degree-d f is
+    irreducible iff gcd(T^(p^k) - T, f) = 1 for every k <= d / 2."""
+    f = [c % p for c in poly]
+    h = [0, 1]  # T^(p^k) mod f, starting at k = 0
+    for _ in range((len(f) - 1) // 2):
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _poly_rem(poly_mul(power, base), f, p)
+            base = _poly_rem(poly_mul(base, base), f, p)
+            e >>= 1
+        h = power
+        r = h + [0] * (2 - len(h))
+        r[1] -= 1  # h - T
+        g, r = f, _poly_rem(r, f, p)
+        while r:
+            g, r = r, _poly_rem(g, r, p)
+        if len(g) > 1:
+            return False
+    return True
 
 
 def companion_matrix(poly, scalar=Fraction):

@@ -20,7 +20,17 @@ from functools import lru_cache
 from . import roots
 from .algebra import arrows_by_source, arrows_by_target, loop_arrows
 from .errors import DomainError, InternalCheckError, NotLocallyFree
-from .linalg import companion_matrix, mat_inverse, mat_mul, mat_rank, poly_pow, zero_matrix
+from .linalg import (
+    characteristic,
+    companion_matrix,
+    identity_matrix,
+    is_irreducible_mod,
+    mat_inverse,
+    mat_mul,
+    mat_rank,
+    poly_pow,
+    zero_matrix,
+)
 from .strings import (
     Band,
     Letter,
@@ -88,8 +98,8 @@ def simple_module(p, vertex):
 def canonical_simple_param(s):
     """A degree-s monic polynomial with nonzero constant term (T-1, or T^s-2).
 
-    Irreducible over the rationals; callers working over other fields supply
-    their own parameter polynomial.
+    Irreducible over the rationals (T^s-2 by Eisenstein at 2).  Over GF(p) it
+    may be reducible, and `build_representation` rejects it there.
     """
     if s < 1:
         raise DomainError("parameter degree must be >= 1")
@@ -194,7 +204,8 @@ def build_representation(m, scalar=Fraction):
 
     Basis convention: walk order.  Band classes at level l over a degree-s
     parameter use the companion matrix of param^l as the distinguished block
-    on the first letter of the band.
+    on the first letter of the band.  Over GF(p) the parameter must be
+    irreducible with nonzero constant term, or DomainError is raised.
     """
     if m is ZERO:
         raise DomainError("cannot build the zero representation this way")
@@ -221,13 +232,17 @@ def build_representation(m, scalar=Fraction):
     if not scalar(m.param[0]):
         raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
                           f" over {scalar!r}; it gives no band module there")
+    char = characteristic(scalar)
+    if char and not is_irreducible_mod(m.param, char):
+        raise DomainError(f"band parameter {m.param} (constant term first) is reducible"
+                          f" over {scalar!r}; it gives no indecomposable band module there")
     p = m.band.presentation
     walk = m.band.walk()
     mcount = len(walk)
     d = m.level * m.param_degree
     phi = companion_matrix(poly_pow(m.param, m.level), scalar)
     phi_inv = mat_inverse(phi, scalar)
-    ident = [[scalar(1) if i == j else scalar(0) for j in range(d)] for i in range(d)]
+    ident = identity_matrix(d, scalar)
     slots = _position_slots(p, walk)
     dims = tuple(d * len(slots[u]) for u in p.vertices)
     offset = {}
@@ -270,41 +285,46 @@ def relations_vanish(rep: Representation):
 # ---------------------------------------------------------------------------
 
 def hom_dim(x: Representation, y: Representation):
-    """dim of the intertwiner space {f : f phi^x = phi^y f over all arrows}."""
+    """dim of the intertwiner space {f : f phi^x = phi^y f over all arrows}.
+
+    The unknowns are the entries F_u[r][k] of the maps f_u : X_u -> Y_u.  Each
+    arrow a : i -> j gives the equations (F_j X_a - Y_a F_i)[r][c] = 0, built
+    as sparse rows from the nonzeros of column c of X_a and row r of Y_a,
+    with plain ints mod p (the entries' `v`) over GF(p), Fractions over Q.
+    """
     if x.presentation != y.presentation:
         raise DomainError("hom between modules over different presentations")
+    char = characteristic(x.scalar)
+    if characteristic(y.scalar) != char:
+        raise DomainError("hom between modules over different fields")
     p = x.presentation
     offsets = {}
     total = 0
     for u in p.vertices:
         offsets[u] = total
         total += y.dims[u - 1] * x.dims[u - 1]
-    if total == 0:
-        return 0
-    zero = x.scalar(0)
     rows = []
     for a in p.arrows:
         i, j = a.source, a.target
-        dxi, dyi = x.dims[i - 1], y.dims[i - 1]
-        dxj, dyj = x.dims[j - 1], y.dims[j - 1]
-        if dyj * dxi == 0:
-            continue
-        xa = x.mats[a.name]
-        ya = y.mats[a.name]
-        for r in range(dyj):
-            for c in range(dxi):
-                row = [zero] * total
-                # coefficient of F_j[r, k]: X_a[k, c]
-                for k in range(dxj):
-                    if xa[k][c]:
-                        row[offsets[j] + r * dxj + k] = row[offsets[j] + r * dxj + k] + xa[k][c]
-                # coefficient of F_i[k, c]: -Y_a[r, k]
-                for k in range(dyi):
-                    if ya[r][k]:
-                        row[offsets[i] + k * dxi + c] = row[offsets[i] + k * dxi + c] - ya[r][k]
-                if any(row):
+        dxi, dxj = x.dims[i - 1], x.dims[j - 1]
+        # F_j[r][k] is unknown oj + r * dxj + k; F_i[k][c] is oi + k * dxi + c
+        oj, oi = offsets[j], offsets[i]
+        xcols = [[] for _ in range(dxi)]
+        for k, xrow in enumerate(x.mats[a.name]):
+            for c, v in enumerate(xrow):
+                if v:
+                    xcols[c].append((oj + k, v.v if char else v))
+        for r, yrow in enumerate(y.mats[a.name]):
+            ys = [(oi + k * dxi, (-v).v if char else -v) for k, v in enumerate(yrow) if v]
+            shift = r * dxj
+            for c, xcol in enumerate(xcols):
+                row = {col + shift: v for col, v in xcol}
+                for col, v in ys:
+                    col += c
+                    row[col] = row.get(col, 0) + v
+                if row:
                     rows.append(row)
-    return total - mat_rank(rows)
+    return total - mat_rank(rows, char)
 
 
 def hom_dim_modules(x, y, scalar=Fraction):

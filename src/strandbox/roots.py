@@ -121,8 +121,8 @@ def enumerate_positive_roots(cd, bound):
     """Positive roots of height <= bound: reflection closure of the simple
     roots within the positive orthant, united with the positive multiples of
     delta."""
-    if bound < 1:
-        return set()
+    if bound < 0:
+        raise DomainError("bound must be >= 0")
     dl = delta(cd)
     found = set()
     frontier = [simple_root(cd, i) for i in range(1, cd.n + 1) if height(simple_root(cd, i)) <= bound]
@@ -313,6 +313,8 @@ def closed_form_families(cd, orientation, seq, bound):
     roots, separately: preprojective beta-orbits, preinjective gamma-orbits,
     delta-shifted window sums of a distinguished root, and the imaginary
     multiples of delta."""
+    if bound < 0:
+        raise DomainError("bound must be >= 0")
     if not is_admissible_sequence(orientation, seq, "+"):
         raise DomainError("closed form requires a +-admissible sequence")
     cox = coxeter(cd, seq)

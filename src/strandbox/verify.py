@@ -289,6 +289,8 @@ def check_coxeter_compatibility(p, seq, depth):
     For a --admissible sequence the transformation acting is the one of the
     reversed (+-admissible) sequence, i.e. the inverse of c_seq.
     """
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
     cd = cartan(p.n)
     seq = tuple(seq)
     if is_admissible_sequence(p.orientation, seq, "+"):

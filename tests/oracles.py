@@ -4,7 +4,9 @@ These deliberately avoid the library's word machinery: they work on plain
 (name, sign) tuples read off the presentation structure, so they can
 disagree with the implementation if either is wrong.  The tau-orbit oracle
 is the exception: it walks the library's translation, but from each module
-separately, as the verifier did before it walked each orbit once.
+separately, as the verifier did before it walked each orbit once.  The
+dense Hom oracle solves the same intertwiner system as `modules.hom_dim`,
+written out as dense rows and eliminated column by column.
 """
 
 from strandbox import ZERO, is_locally_free, tau, tau_inv
@@ -151,3 +153,70 @@ def fails_tau_local_freeness(m, window=10):
                 return True
             cur = step(cur)
     return False
+
+
+def dense_rank(rows):
+    """Rank of dense rows of Fraction or GFElement entries, by destructive
+    Gaussian elimination; `rows` is consumed."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if not f:
+                continue
+            f = f / pval
+            rr = rows[r]
+            for c in range(col, ncols):
+                rr[c] = rr[c] - f * prow[c]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def dense_hom_dim(x, y):
+    """dim Hom(X, Y) of two representations, from the intertwiner system
+    f_j X_a = Y_a f_i written as one dense row per equation."""
+    p = x.presentation
+    offsets = {}
+    total = 0
+    for u in p.vertices:
+        offsets[u] = total
+        total += y.dims[u - 1] * x.dims[u - 1]
+    if total == 0:
+        return 0
+    zero = x.scalar(0)
+    rows = []
+    for a in p.arrows:
+        i, j = a.source, a.target
+        dxi, dyi = x.dims[i - 1], y.dims[i - 1]
+        dxj, dyj = x.dims[j - 1], y.dims[j - 1]
+        xa = x.mats[a.name]
+        ya = y.mats[a.name]
+        for r in range(dyj):
+            for c in range(dxi):
+                row = [zero] * total
+                # coefficient of F_j[r, k]: X_a[k, c]
+                for k in range(dxj):
+                    if xa[k][c]:
+                        row[offsets[j] + r * dxj + k] = row[offsets[j] + r * dxj + k] + xa[k][c]
+                # coefficient of F_i[k, c]: -Y_a[r, k]
+                for k in range(dyi):
+                    if ya[r][k]:
+                        row[offsets[i] + k * dxi + c] = row[offsets[i] + k * dxi + c] - ya[r][k]
+                if any(row):
+                    rows.append(row)
+    return total - dense_rank(rows)

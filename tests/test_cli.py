@@ -159,3 +159,20 @@ def test_tau_accepts_the_power_limit_and_documents_it(capsys):
         main(["tau", "--help"])
     assert exc.value.code == 0
     assert f"|k| <= {MAX_POWER}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("spec", ["fp:abc", "fp:"])
+def test_a_malformed_field_spec_is_a_usage_error(capsys, monkeypatch, spec):
+    monkeypatch.setenv("STRANDBOX_FIELD", spec)
+    code, _, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "14")
+    assert code == 2 and repr(spec) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "1,2,3", "--depth", "-1"),
+    ("roots", "--n", "3", "--bound", "-3"),
+    ("roots", "--n", "3", "--bound", "-3", "--closed-form", "--seq", "3,2,1", "--orient", "RR"),
+])
+def test_a_negative_size_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "must be >= 0" in err and out == ""

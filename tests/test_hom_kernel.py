@@ -1,0 +1,168 @@
+"""The sparse Hom kernel against the dense oracle.
+
+`modules.hom_dim` builds the intertwiner system as sparse rows and
+`linalg.mat_rank` eliminates them over Fractions or plain ints mod p.  The
+oracle (`oracles.dense_hom_dim`, `oracles.dense_rank`) writes the same
+system as dense rows of Fraction or GFElement entries and eliminates column
+by column.  The two are compared on every pair of string modules of length
+<= 6, on band modules, and on random sparse rows.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strandbox import (
+    band_module,
+    build_representation,
+    build_type_C_algebra,
+    canonical_simple_param,
+    enumerate_bands,
+    enumerate_strings,
+    hom_dim,
+    string_module,
+)
+from strandbox.linalg import (
+    GFElement,
+    characteristic,
+    is_irreducible_mod,
+    mat_rank,
+    scalar_from_spec,
+)
+from strandbox.modules import Representation
+
+from conftest import all_orientations
+from oracles import dense_hom_dim, dense_rank
+
+FIELDS = ("rat", "fp:2", "fp:101")
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n, orientation", [(n, o) for n in (3, 4) for o in all_orientations(n)])
+def test_hom_of_every_pair_of_short_strings_matches_the_dense_oracle(n, orientation, field):
+    p = build_type_C_algebra(n, orientation)
+    scalar = scalar_from_spec(field)
+    reps = [build_representation(string_module(w), scalar) for w in enumerate_strings(p, 6)]
+    assert 48 <= len(reps) <= 52
+    for x, y in itertools.product(reps, repeat=2):
+        assert hom_dim(x, y) == dense_hom_dim(x, y)
+
+
+def _band_modules(p, field):
+    """Band modules of delta-length <= 2, levels 1-3 and parameter degrees 1
+    and 2 where the parameter is irreducible over the field, of total
+    dimension <= 36 (the dense oracle takes seconds beyond that)."""
+    char = characteristic(scalar_from_spec(field))
+    mods = []
+    for b in enumerate_bands(p, 2):
+        for s in (1, 2):
+            param = canonical_simple_param(s)
+            if char and not is_irreducible_mod(param, char):
+                continue
+            for level in (1, 2, 3):
+                if level * s * len(b) <= 36:
+                    mods.append(band_module(b, param, level))
+    return mods
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n, orientation", [(3, "RR"), (4, "RRL")])
+def test_hom_of_band_modules_matches_the_dense_oracle(n, orientation, field):
+    p = build_type_C_algebra(n, orientation)
+    scalar = scalar_from_spec(field)
+    mods = _band_modules(p, field)
+    assert {m.param_degree for m in mods} == ({1} if field == "fp:2" else {1, 2})
+    reps = [build_representation(m, scalar) for m in mods]
+    short = [build_representation(string_module(w), scalar) for w in enumerate_strings(p, 3)]
+    for x in reps:
+        assert hom_dim(x, x) == dense_hom_dim(x, x)
+    for x, y in itertools.permutations(reps, 2):
+        if sum(a * b for a, b in zip(x.dims, y.dims)) <= 60:
+            assert hom_dim(x, y) == dense_hom_dim(x, y)
+    for x, y in itertools.product(reps, short):
+        assert hom_dim(x, y) == dense_hom_dim(x, y)
+        assert hom_dim(y, x) == dense_hom_dim(y, x)
+
+
+@st.composite
+def representations(draw):
+    """Two representations of one presentation with any small integer
+    matrices, relations or not, loops with diagonal entries among them."""
+    p = draw(st.sampled_from([build_type_C_algebra(3, "RR"), build_type_C_algebra(4, "RLR")]))
+    char = draw(st.sampled_from((0, 2, 101)))
+    scalar = Fraction if char == 0 else scalar_from_spec(f"fp:{char}")
+    reps = []
+    for _ in range(2):
+        dims = tuple(draw(st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n)))
+        mats = {a.name: [[scalar(draw(st.integers(-2, 2))) for _ in range(dims[a.source - 1])]
+                         for _ in range(dims[a.target - 1])]
+                for a in p.arrows}
+        reps.append(Representation(p, dims, mats, scalar))
+    return reps
+
+
+@PROPERTY
+@given(representations())
+def test_hom_of_any_representations_matches_the_dense_oracle(reps):
+    x, y = reps
+    assert hom_dim(x, y) == dense_hom_dim(x, y)
+
+
+def _divides(g, f, q):
+    """Whether the monic g divides f over GF(q), by long division."""
+    f = [c % q for c in f]
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = f[top]
+        for k, gk in enumerate(g):
+            f[top - len(g) + 1 + k] = (f[top - len(g) + 1 + k] - c * gk) % q
+    return not any(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_irreducibility_matches_trial_division(q):
+    for degree in range(1, 5 if q < 5 else 4):
+        for tail in itertools.product(range(q), repeat=degree):
+            f = tail + (1,)
+            factors = (g + (1,) for d in range(1, degree // 2 + 1)
+                       for g in itertools.product(range(q), repeat=d))
+            assert is_irreducible_mod(f, q) == (not any(_divides(g, f, q) for g in factors)), f
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse integer rows over at most 8 columns, with zero entries, zero
+    rows and repeated rows among them."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-3, 3)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, max_size=10))
+    if rows:
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows += [dict(r) for r in repeats]
+    rows = draw(st.permutations(rows))
+    return ncols, rows
+
+
+def _dense(ncols, rows, scalar):
+    return [[scalar(r.get(c, 0)) for c in range(ncols)] for r in rows]
+
+
+@PROPERTY
+@given(sparse_rows(), st.sampled_from((0, 2, 101)))
+def test_mat_rank_matches_the_dense_oracle(case, char):
+    ncols, rows = case
+    scalar = Fraction if char == 0 else (lambda v: GFElement(v, char))
+    expected = dense_rank(_dense(ncols, rows, scalar))
+    assert mat_rank([dict(r) for r in rows], char) == expected
+    assert mat_rank([dict(r) for r in reversed(rows)], char) == expected
+    if char == 0:
+        assert mat_rank([{c: Fraction(v, 3) for c, v in r.items()} for r in rows]) == expected
+
+
+def test_mat_rank_of_no_rows_is_zero():
+    assert mat_rank([]) == 0 and mat_rank([], 7) == 0 and dense_rank([]) == 0
+    assert mat_rank([{}, {0: 0}, {1: 7}], 7) == 0

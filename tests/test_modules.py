@@ -210,6 +210,14 @@ def test_band_parameter_with_zero_constant_term_in_the_field_is_rejected(a3):
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
 
+def test_band_parameter_reducible_in_the_field_is_rejected(a3):
+    # T^2 - 2 = (T - 3)(T + 3) over GF(7); over GF(3) it stays irreducible
+    m = band_module(parse_band(a3, W2), canonical_simple_param(2))
+    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*reducible over PrimeField\(7\)"):
+        hom_dim_modules(m, m, scalar_from_spec("fp:7"))
+    assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
+
+
 def test_module_text_and_json_round_trip(a3):
     mods = [simple_module(a3, 2), string_module(parse_word(a3, W1)),
             band_module(canonical_band(parse_word(a3, W2)), canonical_simple_param(2), 3)]
