@@ -3,8 +3,8 @@
 Subcommands: strings, bands, tau, component, minimal, tube, roots,
 verify-gls, verify-coxeter.  Output goes to stdout, diagnostics to stderr;
 exit code 0 on success, 1 on a failed verification, 2 on usage errors.
-The environment variable STRANDBOX_FIELD (rat | fp:<prime>) selects the
-base field for Hom/Ext computations.
+The environment variable STRANDBOX_FIELD (rat | fp:<prime>, the prime at
+most 2^31 - 1) selects the base field for Hom/Ext computations.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def cmd_roots(args):
 
 def cmd_verify_gls(args):
     p = _presentation(args)
-    report = check_gls(p, args.bound, scalar=_scalar())
+    report = check_gls(p, args.bound, char=_scalar())
     if args.format == "json":
         print(report.to_json())
     else:

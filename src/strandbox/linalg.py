@@ -1,151 +1,74 @@
-"""Exact linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field, in plain ints.
 
-Matrices are plain lists of lists whose entries support +, -, *, / and
-compare truthy when nonzero (Fraction does; GFElement below does).  Rank is
-taken of sparse rows {column: entry} holding Fractions, or plain ints mod p
-over GF(p).  All eliminations are exact, no floating point anywhere.
+A field is given by its characteristic: 0 for Q, p for GF(p).  Matrices are
+sparse dicts {(row, col): entry} and rows are sparse dicts {column: entry},
+with int entries: reduced mod p over GF(p), any integer over Q.  Rank over Q
+is taken fraction-free, by integer row operations with a gcd normalisation,
+so no floating point or Fraction appears anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import DomainError
 
-
-class GFElement:
-    """Element of the prime field GF(p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = int(v) % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise DomainError("mixed prime fields")
-            return other
-        return GFElement(other, self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.v * pow(o.v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return GFElement(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
-class PrimeField:
-    """Callable converting ints to GF(p) elements; usable as a scalar factory."""
-
-    def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise DomainError(f"not a prime: {p}")
-        self.p = p
-
-    def __call__(self, v=0):
-        return GFElement(v, self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+# The largest prime a field spec may name: the primality check is trial
+# division, which needs at most isqrt(MAX_PRIME) = 46,340 steps.
+MAX_PRIME = 2**31 - 1
 
 
 def scalar_from_spec(spec):
-    """Parse a base-field spec: 'rat' or 'fp:<prime>'."""
+    """The characteristic of a base-field spec: 0 for 'rat', p for
+    'fp:<prime>' with p <= MAX_PRIME."""
     if spec == "rat":
-        return Fraction
+        return 0
     if spec.startswith("fp:"):
         try:
             p = int(spec[3:])
         except ValueError:
             raise DomainError(f"bad field spec {spec!r}: fp: takes a prime, as in fp:101") from None
-        return PrimeField(p)
+        if p > MAX_PRIME:
+            raise DomainError(f"field size {p} is above the limit 2^31 - 1 = {MAX_PRIME}")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise DomainError(f"not a prime: {p}")
+        return p
     raise DomainError(f"unknown field spec: {spec!r}")
 
 
-def zero_matrix(rows, cols, scalar=Fraction):
-    z = scalar(0)
-    return [[z] * cols for _ in range(rows)]
+def field_name(char):
+    return f"GF({char})" if char else "Q"
 
 
-def identity_matrix(n, scalar=Fraction):
-    m = zero_matrix(n, n, scalar)
-    one = scalar(1)
-    for i in range(n):
-        m[i][i] = one
-    return m
+def field_value(v, char):
+    """The int v as an entry over the field of characteristic `char`."""
+    return v % char if char else v
 
 
-def mat_mul(a, b, scalar=Fraction):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zero_matrix(rows, cols, scalar)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + aik * bk[j]
-    return out
+def sparse_mul(a, b, char=0):
+    """Product of sparse matrices {(row, col): entry}; zero entries dropped."""
+    b_rows = {}
+    for (k, j), v in b.items():
+        b_rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in a.items():
+        for j, v in b_rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + u * v
+    if char:
+        return {ij: x % char for ij, x in out.items() if x % char}
+    return {ij: x for ij, x in out.items() if x}
 
 
-def characteristic(scalar):
-    """0 for the rationals, p for the prime field GF(p)."""
-    return scalar.p if isinstance(scalar, PrimeField) else 0
+def echelon(rows, char=0):
+    """Pivot rows of an echelon form of sparse int rows {column: entry} over
+    the field of characteristic `char`, keyed by their leading (least) column.
 
-
-def mat_rank(rows, char=0):
-    """Rank of sparse rows, each a dict {column: entry}, over the field of
-    characteristic `char`: Fraction or int entries over Q (char 0), int
-    entries over GF(char), reduced here.
-
-    Incremental echelon form: each row is reduced by the stored pivot rows at
-    its leading (smallest) column until it vanishes or becomes a new pivot
-    row, stored scaled to 1 at its lead.  The rank does not depend on the
-    order of the rows.
+    Each row is reduced by the stored pivot rows at its lead until it
+    vanishes or becomes a new pivot row.  Over GF(p) a pivot row is stored
+    scaled to 1 at its lead, and a row with lead f is reduced by
+    row - f * pivot.  Over Q there are no fractions: a pivot row is stored
+    divided by the gcd of its entries, and a row is reduced by
+    (l/g) * row - (f/g) * pivot, with l the pivot's lead and g = gcd(l, f).
     """
     pivots = {}
     for row in rows:
@@ -162,40 +85,31 @@ def mat_rank(rows, char=0):
                     inv = pow(f, char - 2, char)
                     pivots[lead] = {c: v * inv % char for c, v in row.items()}
                 else:
-                    inv = 1 / Fraction(f)
-                    pivots[lead] = {c: v * inv for c, v in row.items()}
+                    g = gcd(*row.values())
+                    pivots[lead] = {c: v // g for c, v in row.items()}
                 break
+            if char:
+                t = f
+            else:
+                g = gcd(pivot[lead], f)
+                s, t = pivot[lead] // g, f // g
+                if s != 1:
+                    row = {c: s * v for c, v in row.items()}
             for c, v in pivot.items():
-                x = row.get(c, 0) - f * v
+                x = row.get(c, 0) - t * v
                 if char:
                     x %= char
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-    return len(pivots)
+    return pivots
 
 
-def mat_inverse(a, scalar=Fraction):
-    """Inverse of a square matrix; raises on singular input."""
-    n = len(a)
-    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n, scalar))]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise DomainError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [x / pval for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def mat_rank(rows, char=0):
+    """Rank of sparse int rows {column: entry} over the field of
+    characteristic `char`; it does not depend on the order of the rows."""
+    return len(echelon(rows, char))
 
 
 def poly_mul(a, b):
@@ -255,15 +169,12 @@ def is_irreducible_mod(poly, p):
     return True
 
 
-def companion_matrix(poly, scalar=Fraction):
-    """Companion matrix of a monic polynomial (ascending coefficients)."""
-    if poly[-1] != 1:
-        raise DomainError("companion matrix requires a monic polynomial")
+def companion_matrix(poly, char=0):
+    """Sparse companion matrix of a monic polynomial (ascending coefficients)."""
     d = len(poly) - 1
-    m = zero_matrix(d, d, scalar)
-    one = scalar(1)
-    for i in range(d - 1):
-        m[i + 1][i] = one
+    m = {(i + 1, i): 1 for i in range(d - 1)}
     for i in range(d):
-        m[i][d - 1] = scalar(-poly[i])
+        v = field_value(-poly[i], char)
+        if v:
+            m[i, d - 1] = v
     return m

@@ -2,8 +2,10 @@
 
 A module reference is a canonical string word, a band-module class (band +
 simple parameter polynomial + tube level), or the zero module.  Explicit
-representations are built over an exact field (rationals by default, or a
-prime field) so Hom dimensions come out of kernel computations exactly.
+representations are built over a field given by its characteristic (0 for
+the rationals, the default, or a prime p), with every arrow a sparse matrix
+of plain int entries, so Hom dimensions come out of exact kernel
+computations.
 
 Ext^1 is computed for locally free modules only, through the homological
 identity  hom(X,Y) - ext1(X,Y) = <rank X, rank Y>  with the
@@ -14,22 +16,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import roots
 from .algebra import arrows_by_source, arrows_by_target, loop_arrows
 from .errors import DomainError, InternalCheckError, NotLocallyFree
 from .linalg import (
-    characteristic,
     companion_matrix,
-    identity_matrix,
+    field_name,
+    field_value,
     is_irreducible_mod,
-    mat_inverse,
-    mat_mul,
     mat_rank,
     poly_pow,
-    zero_matrix,
+    sparse_mul,
 )
 from .strings import (
     Band,
@@ -185,88 +184,59 @@ def rank_vector(m):
 
 @dataclass
 class Representation:
+    """Arrow a acts by mats[a.name] = {(row, col): nonzero int entry}, reduced
+    mod char over GF(char) (char > 0), an integer over Q (char 0)."""
+
     presentation: object
     dims: tuple[int, ...]
     mats: dict
-    scalar: object = Fraction
+    char: int = 0
 
 
-def _position_slots(p, walk):
-    """Walk positions grouped by vertex, in walk order."""
-    slots = {u: [] for u in p.vertices}
-    for pos, v in enumerate(walk):
-        slots[v].append(pos)
-    return slots
+def build_representation(m, char=0):
+    """Explicit matrices for a module reference over the field of
+    characteristic `char`.
 
-
-def build_representation(m, scalar=Fraction):
-    """Explicit matrices for a module reference.
-
-    Basis convention: walk order.  Band classes at level l over a degree-s
-    parameter use the companion matrix of param^l as the distinguished block
-    on the first letter of the band.  Over GF(p) the parameter must be
-    irreducible with nonzero constant term, or DomainError is raised.
+    Basis convention: walk order.  A string letter acts by a 1 between the
+    basis vectors of its two walk positions.  Band classes at level l over a
+    degree-s parameter have a d-dimensional block per walk position (d = ls)
+    and act by identity blocks, except that the companion matrix of param^l
+    sits on the first direct letter of the band (for a canonical band, its
+    first letter), so no inverse is formed.  Over GF(p) the parameter must
+    be irreducible with nonzero constant term, or DomainError is raised.
     """
     if m is ZERO:
         raise DomainError("cannot build the zero representation this way")
     if isinstance(m, StringModule):
-        p = m.word.presentation
-        walk = m.word.walk()
-        slots = _position_slots(p, walk)
-        dims = tuple(len(slots[u]) for u in p.vertices)
-        index = {}
-        for u in p.vertices:
-            for k, pos in enumerate(slots[u]):
-                index[pos] = k
-        mats = {a.name: zero_matrix(dims[a.target - 1], dims[a.source - 1], scalar)
-                for a in p.arrows}
-        one = scalar(1)
-        for k, c in enumerate(m.word.letters):
-            if c.sign > 0:
-                src_pos, tgt_pos = k + 1, k
-            else:
-                src_pos, tgt_pos = k, k + 1
-            mats[c.arrow.name][index[tgt_pos]][index[src_pos]] = one
-        return Representation(p, dims, mats, scalar)
-
-    if not scalar(m.param[0]):
-        raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
-                          f" over {scalar!r}; it gives no band module there")
-    char = characteristic(scalar)
-    if char and not is_irreducible_mod(m.param, char):
-        raise DomainError(f"band parameter {m.param} (constant term first) is reducible"
-                          f" over {scalar!r}; it gives no indecomposable band module there")
-    p = m.band.presentation
-    walk = m.band.walk()
-    mcount = len(walk)
-    d = m.level * m.param_degree
-    phi = companion_matrix(poly_pow(m.param, m.level), scalar)
-    phi_inv = mat_inverse(phi, scalar)
-    ident = identity_matrix(d, scalar)
-    slots = _position_slots(p, walk)
-    dims = tuple(d * len(slots[u]) for u in p.vertices)
-    offset = {}
-    for u in p.vertices:
-        for k, pos in enumerate(slots[u]):
-            offset[pos] = d * k
-    mats = {a.name: zero_matrix(dims[a.target - 1], dims[a.source - 1], scalar)
-            for a in p.arrows}
-    for k, c in enumerate(m.band.letters):
-        if k == 0:
-            block = phi if c.sign > 0 else phi_inv
-        else:
-            block = ident
-        if c.sign > 0:
-            src_pos, tgt_pos = (k + 1) % mcount, k
-        else:
-            src_pos, tgt_pos = k, (k + 1) % mcount
+        p, letters, walk = m.word.presentation, m.word.letters, m.word.walk()
+        d, phi, first = 1, None, None
+    else:
+        if not field_value(m.param[0], char):
+            raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
+                              f" over {field_name(char)}; it gives no band module there")
+        if char and not is_irreducible_mod(m.param, char):
+            raise DomainError(f"band parameter {m.param} (constant term first) is reducible over"
+                              f" {field_name(char)}; it gives no indecomposable band module there")
+        p, letters, walk = m.band.presentation, m.band.letters, m.band.walk()
+        d = m.level * m.param_degree
+        phi = companion_matrix(poly_pow(m.param, m.level), char)
+        first = next(k for k, c in enumerate(letters) if c.sign > 0)
+    # a band's walk closes up: its last letter returns to position 0
+    offset, count = {}, dict.fromkeys(p.vertices, 0)
+    for pos, v in enumerate(walk):
+        offset[pos] = d * count[v]
+        count[v] += 1
+    dims = tuple(d * count[u] for u in p.vertices)
+    ident = {(i, i): 1 for i in range(d)}
+    mats = {a.name: {} for a in p.arrows}
+    for k, c in enumerate(letters):
+        after = (k + 1) % len(walk)
+        src_pos, tgt_pos = (after, k) if c.sign > 0 else (k, after)
         mat = mats[c.arrow.name]
         ro, co = offset[tgt_pos], offset[src_pos]
-        for i in range(d):
-            for j in range(d):
-                if block[i][j]:
-                    mat[ro + i][co + j] = mat[ro + i][co + j] + block[i][j]
-    return Representation(p, dims, mats, scalar)
+        for (i, j), v in (phi if k == first else ident).items():
+            mat[ro + i, co + j] = v
+    return Representation(p, dims, mats, char)
 
 
 def relations_vanish(rep: Representation):
@@ -274,8 +244,8 @@ def relations_vanish(rep: Representation):
     for rel in rep.presentation.relations:
         prod = rep.mats[rel[0].name]
         for a in rel[1:]:
-            prod = mat_mul(prod, rep.mats[a.name], rep.scalar)
-        if any(any(x for x in row) for row in prod):
+            prod = sparse_mul(prod, rep.mats[a.name], rep.char)
+        if prod:
             return False
     return True
 
@@ -289,13 +259,11 @@ def hom_dim(x: Representation, y: Representation):
 
     The unknowns are the entries F_u[r][k] of the maps f_u : X_u -> Y_u.  Each
     arrow a : i -> j gives the equations (F_j X_a - Y_a F_i)[r][c] = 0, built
-    as sparse rows from the nonzeros of column c of X_a and row r of Y_a,
-    with plain ints mod p (the entries' `v`) over GF(p), Fractions over Q.
+    as sparse int rows from the nonzeros of column c of X_a and row r of Y_a.
     """
     if x.presentation != y.presentation:
         raise DomainError("hom between modules over different presentations")
-    char = characteristic(x.scalar)
-    if characteristic(y.scalar) != char:
+    if x.char != y.char:
         raise DomainError("hom between modules over different fields")
     p = x.presentation
     offsets = {}
@@ -310,12 +278,12 @@ def hom_dim(x: Representation, y: Representation):
         # F_j[r][k] is unknown oj + r * dxj + k; F_i[k][c] is oi + k * dxi + c
         oj, oi = offsets[j], offsets[i]
         xcols = [[] for _ in range(dxi)]
-        for k, xrow in enumerate(x.mats[a.name]):
-            for c, v in enumerate(xrow):
-                if v:
-                    xcols[c].append((oj + k, v.v if char else v))
-        for r, yrow in enumerate(y.mats[a.name]):
-            ys = [(oi + k * dxi, (-v).v if char else -v) for k, v in enumerate(yrow) if v]
+        for (k, c), v in x.mats[a.name].items():
+            xcols[c].append((oj + k, v))
+        yrows = [[] for _ in range(y.dims[j - 1])]
+        for (r, k), v in y.mats[a.name].items():
+            yrows[r].append((oi + k * dxi, -v))
+        for r, ys in enumerate(yrows):
             shift = r * dxj
             for c, xcol in enumerate(xcols):
                 row = {col + shift: v for col, v in xcol}
@@ -324,28 +292,28 @@ def hom_dim(x: Representation, y: Representation):
                     row[col] = row.get(col, 0) + v
                 if row:
                     rows.append(row)
-    return total - mat_rank(rows, char)
+    return total - mat_rank(rows, x.char)
 
 
-def hom_dim_modules(x, y, scalar=Fraction):
-    return hom_dim(build_representation(x, scalar), build_representation(y, scalar))
+def hom_dim_modules(x, y, char=0):
+    return hom_dim(build_representation(x, char), build_representation(y, char))
 
 
-def ext1_dim_locally_free(x, y, scalar=Fraction):
+def ext1_dim_locally_free(x, y, char=0):
     """Ext^1 between locally free modules via the bilinear-form identity."""
     rx, ry = rank_vector(x), rank_vector(y)
     p = x.word.presentation if isinstance(x, StringModule) else x.band.presentation
     cd = roots.cartan(p.n)
     pairing = roots.ringel_form(cd, p.orientation, rx, ry)
-    value = hom_dim_modules(x, y, scalar) - pairing
+    value = hom_dim_modules(x, y, char) - pairing
     if value < 0:
         raise InternalCheckError(
             f"hom - <rank,rank> = {value} < 0 for {x!r}, {y!r}")
     return value
 
 
-def is_rigid(m, scalar=Fraction):
-    return ext1_dim_locally_free(m, m, scalar) == 0
+def is_rigid(m, char=0):
+    return ext1_dim_locally_free(m, m, char) == 0
 
 
 # ---------------------------------------------------------------------------

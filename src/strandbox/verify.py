@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
@@ -220,7 +219,7 @@ def tau_locally_free_rank_vectors(p, bound):
     return witnesses
 
 
-def check_gls(p, bound, scalar=Fraction):
+def check_gls(p, bound, char=0):
     """Compare rank vectors of tau-locally free modules with positive roots."""
     cd = cartan(p.n)
     dl = delta(cd)
@@ -275,7 +274,7 @@ def check_gls(p, bound, scalar=Fraction):
 
     if bound >= 1:
         for m in tube_bottom(p):
-            if not is_rigid(m, scalar):
+            if not is_rigid(m, char):
                 problems.append(f"tube-bottom module {format_module(m)} is not rigid")
 
     return GLSReport(p.n, p.orientation, bound, matched_real, matched_imaginary,
@@ -330,7 +329,7 @@ def check_coxeter_compatibility(p, seq, depth):
     return CheckReport("coxeter-compatibility", not problems, problems)
 
 
-def check_tube_invariants(p, scalar=Fraction):
+def check_tube_invariants(p, char=0):
     """Bottom orbit size, dimension and rank sums, tau-period and rigidity."""
     from .modules import dim_vector
 
@@ -353,6 +352,6 @@ def check_tube_invariants(p, scalar=Fraction):
     if cur != bottom[0]:
         problems.append("tau-period of the bottom is not n-1")
     for m in bottom:
-        if not is_rigid(m, scalar):
+        if not is_rigid(m, char):
             problems.append(f"bottom module {format_module(m)} is not rigid")
     return CheckReport("tube-invariants", not problems, problems)

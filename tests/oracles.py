@@ -6,8 +6,12 @@ disagree with the implementation if either is wrong.  The tau-orbit oracle
 is the exception: it walks the library's translation, but from each module
 separately, as the verifier did before it walked each orbit once.  The
 dense Hom oracle solves the same intertwiner system as `modules.hom_dim`,
-written out as dense rows and eliminated column by column.
+written out as dense rows and eliminated column by column, over Fractions
+for Q, so that it shares no arithmetic with the library's fraction-free
+integer elimination, and over ints mod p for GF(p).
 """
+
+from fractions import Fraction
 
 from strandbox import ZERO, is_locally_free, tau, tau_inv
 
@@ -155,9 +159,14 @@ def fails_tau_local_freeness(m, window=10):
     return False
 
 
-def dense_rank(rows):
-    """Rank of dense rows of Fraction or GFElement entries, by destructive
-    Gaussian elimination; `rows` is consumed."""
+def dense_rank(rows, char=0):
+    """Rank of dense int rows over the field of characteristic `char`, by
+    Gaussian elimination column by column: over Q on Fractions, over GF(p)
+    on ints mod p."""
+    if char:
+        rows = [[v % char for v in row] for row in rows]
+    else:
+        rows = [[Fraction(v) for v in row] for row in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -177,10 +186,15 @@ def dense_rank(rows):
             f = rows[r][col]
             if not f:
                 continue
-            f = f / pval
             rr = rows[r]
-            for c in range(col, ncols):
-                rr[c] = rr[c] - f * prow[c]
+            if char:
+                f = f * pow(pval, char - 2, char) % char
+                for c in range(col, ncols):
+                    rr[c] = (rr[c] - f * prow[c]) % char
+            else:
+                f = f / pval
+                for c in range(col, ncols):
+                    rr[c] = rr[c] - f * prow[c]
         rank += 1
         if rank == len(rows):
             break
@@ -198,25 +212,22 @@ def dense_hom_dim(x, y):
         total += y.dims[u - 1] * x.dims[u - 1]
     if total == 0:
         return 0
-    zero = x.scalar(0)
     rows = []
     for a in p.arrows:
         i, j = a.source, a.target
         dxi, dyi = x.dims[i - 1], y.dims[i - 1]
         dxj, dyj = x.dims[j - 1], y.dims[j - 1]
-        xa = x.mats[a.name]
-        ya = y.mats[a.name]
+        xa = [[x.mats[a.name].get((r, c), 0) for c in range(dxi)] for r in range(dxj)]
+        ya = [[y.mats[a.name].get((r, c), 0) for c in range(dyi)] for r in range(dyj)]
         for r in range(dyj):
             for c in range(dxi):
-                row = [zero] * total
+                row = [0] * total
                 # coefficient of F_j[r, k]: X_a[k, c]
                 for k in range(dxj):
-                    if xa[k][c]:
-                        row[offsets[j] + r * dxj + k] = row[offsets[j] + r * dxj + k] + xa[k][c]
+                    row[offsets[j] + r * dxj + k] += xa[k][c]
                 # coefficient of F_i[k, c]: -Y_a[r, k]
                 for k in range(dyi):
-                    if ya[r][k]:
-                        row[offsets[i] + k * dxi + c] = row[offsets[i] + k * dxi + c] - ya[r][k]
+                    row[offsets[i] + k * dxi + c] -= ya[r][k]
                 if any(row):
                     rows.append(row)
-    return total - dense_rank(rows)
+    return total - dense_rank(rows, x.char)

@@ -50,6 +50,7 @@ from strandbox import (
     tau_locally_free_rank_vectors,
     tube_bottom,
 )
+from strandbox.algebra import arrow_named
 from strandbox.modules import relations_vanish
 from strandbox.strings import Letter, word
 
@@ -60,8 +61,11 @@ W1 = "a21~.a32~.e3.a32.a21"
 W2 = "e1.a21~.a32~.e3.a32.a21"
 
 
-def _as_int(mat):
-    return [[int(x) for x in row] for row in mat]
+def _as_int(rep, name):
+    """The matrix of arrow `name`, densified from `dims` and the sparse dict."""
+    a = arrow_named(rep.presentation)[name]
+    return [[rep.mats[name].get((r, c), 0) for c in range(rep.dims[a.source - 1])]
+            for r in range(rep.dims[a.target - 1])]
 
 
 def test_criterion_1_paper_example_regression(a3):
@@ -75,16 +79,16 @@ def test_criterion_1_paper_example_regression(a3):
     rep = build_representation(m1)
     # walk-order basis: the e3 action is the 2x2 nilpotent Jordan block,
     # spine arrows act as identities, e1 acts by zero
-    assert _as_int(rep.mats["e3"]) == [[0, 1], [0, 0]]
-    assert _as_int(rep.mats["e1"]) == [[0, 0], [0, 0]]
-    assert _as_int(rep.mats["a21"]) == [[1, 0], [0, 1]]
-    assert _as_int(rep.mats["a32"]) == [[1, 0], [0, 1]]
+    assert _as_int(rep, "e3") == [[0, 1], [0, 0]]
+    assert _as_int(rep, "e1") == [[0, 0], [0, 0]]
+    assert _as_int(rep, "a21") == [[1, 0], [0, 1]]
+    assert _as_int(rep, "a32") == [[1, 0], [0, 1]]
     lam = 5
     band = band_module(canonical_band(w2), (-lam, 1), 1)
     rep2 = build_representation(band)
     assert rep2.dims == (2, 2, 2)
-    assert _as_int(rep2.mats["e1"]) == [[0, lam], [0, 0]]
-    assert _as_int(rep2.mats["e3"]) == [[0, 1], [0, 0]]
+    assert _as_int(rep2, "e1") == [[0, lam], [0, 0]]
+    assert _as_int(rep2, "e3") == [[0, 1], [0, 0]]
     assert relations_vanish(rep) and relations_vanish(rep2)
     elapsed = time.time() - t0
     assert elapsed < 1.0

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from strandbox.cli import MAX_POWER, main
+from strandbox.linalg import MAX_PRIME
 
 
 def run(capsys, *argv):
@@ -166,6 +167,23 @@ def test_a_malformed_field_spec_is_a_usage_error(capsys, monkeypatch, spec):
     monkeypatch.setenv("STRANDBOX_FIELD", spec)
     code, _, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "14")
     assert code == 2 and repr(spec) in err
+
+
+def test_a_field_above_the_size_limit_is_a_usage_error(capsys, monkeypatch):
+    # in a child process, so that a missing limit fails the test instead of hanging it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+               STRANDBOX_FIELD="fp:1000000000000000000000000000057")
+    done = subprocess.run(
+        [sys.executable, "-m", "strandbox.cli", "verify-gls", "--n", "3", "--orient", "RR",
+         "--bound", "4"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 2 and "error" in done.stderr and str(MAX_PRIME) in done.stderr
+    assert MAX_PRIME == 2147483647
+    monkeypatch.setenv("STRANDBOX_FIELD", f"fp:{MAX_PRIME}")
+    code, out, _ = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "4")
+    assert code == 0 and "pass" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,16 @@
 """The sparse Hom kernel against the dense oracle.
 
 `modules.hom_dim` builds the intertwiner system as sparse rows and
-`linalg.mat_rank` eliminates them over Fractions or plain ints mod p.  The
-oracle (`oracles.dense_hom_dim`, `oracles.dense_rank`) writes the same
-system as dense rows of Fraction or GFElement entries and eliminates column
-by column.  The two are compared on every pair of string modules of length
-<= 6, on band modules, and on random sparse rows.
+`linalg.mat_rank` eliminates them over plain ints, fraction-free over Q and
+mod p over GF(p).  The oracle (`oracles.dense_hom_dim`, `oracles.dense_rank`)
+writes the same system as dense rows and eliminates column by column, over
+Fractions for Q and ints mod p for GF(p).  The two are compared on every
+pair of string modules of length <= 6, on band modules, and on random sparse
+rows.
 """
 
 import itertools
-from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +26,7 @@ from strandbox import (
     hom_dim,
     string_module,
 )
-from strandbox.linalg import (
-    GFElement,
-    characteristic,
-    is_irreducible_mod,
-    mat_rank,
-    scalar_from_spec,
-)
+from strandbox.linalg import echelon, field_value, is_irreducible_mod, mat_rank, scalar_from_spec
 from strandbox.modules import Representation
 
 from conftest import all_orientations
@@ -45,8 +40,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 @pytest.mark.parametrize("n, orientation", [(n, o) for n in (3, 4) for o in all_orientations(n)])
 def test_hom_of_every_pair_of_short_strings_matches_the_dense_oracle(n, orientation, field):
     p = build_type_C_algebra(n, orientation)
-    scalar = scalar_from_spec(field)
-    reps = [build_representation(string_module(w), scalar) for w in enumerate_strings(p, 6)]
+    char = scalar_from_spec(field)
+    reps = [build_representation(string_module(w), char) for w in enumerate_strings(p, 6)]
     assert 48 <= len(reps) <= 52
     for x, y in itertools.product(reps, repeat=2):
         assert hom_dim(x, y) == dense_hom_dim(x, y)
@@ -56,7 +51,7 @@ def _band_modules(p, field):
     """Band modules of delta-length <= 2, levels 1-3 and parameter degrees 1
     and 2 where the parameter is irreducible over the field, of total
     dimension <= 36 (the dense oracle takes seconds beyond that)."""
-    char = characteristic(scalar_from_spec(field))
+    char = scalar_from_spec(field)
     mods = []
     for b in enumerate_bands(p, 2):
         for s in (1, 2):
@@ -73,11 +68,11 @@ def _band_modules(p, field):
 @pytest.mark.parametrize("n, orientation", [(3, "RR"), (4, "RRL")])
 def test_hom_of_band_modules_matches_the_dense_oracle(n, orientation, field):
     p = build_type_C_algebra(n, orientation)
-    scalar = scalar_from_spec(field)
+    char = scalar_from_spec(field)
     mods = _band_modules(p, field)
     assert {m.param_degree for m in mods} == ({1} if field == "fp:2" else {1, 2})
-    reps = [build_representation(m, scalar) for m in mods]
-    short = [build_representation(string_module(w), scalar) for w in enumerate_strings(p, 3)]
+    reps = [build_representation(m, char) for m in mods]
+    short = [build_representation(string_module(w), char) for w in enumerate_strings(p, 3)]
     for x in reps:
         assert hom_dim(x, x) == dense_hom_dim(x, x)
     for x, y in itertools.permutations(reps, 2):
@@ -94,14 +89,15 @@ def representations(draw):
     matrices, relations or not, loops with diagonal entries among them."""
     p = draw(st.sampled_from([build_type_C_algebra(3, "RR"), build_type_C_algebra(4, "RLR")]))
     char = draw(st.sampled_from((0, 2, 101)))
-    scalar = Fraction if char == 0 else scalar_from_spec(f"fp:{char}")
     reps = []
     for _ in range(2):
         dims = tuple(draw(st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n)))
-        mats = {a.name: [[scalar(draw(st.integers(-2, 2))) for _ in range(dims[a.source - 1])]
-                         for _ in range(dims[a.target - 1])]
-                for a in p.arrows}
-        reps.append(Representation(p, dims, mats, scalar))
+        mats = {}
+        for a in p.arrows:
+            entries = ((r, c, draw(st.integers(-2, 2))) for r in range(dims[a.target - 1])
+                       for c in range(dims[a.source - 1]))
+            mats[a.name] = {(r, c): x for r, c, v in entries if (x := field_value(v, char))}
+        reps.append(Representation(p, dims, mats, char))
     return reps
 
 
@@ -147,20 +143,33 @@ def sparse_rows(draw):
     return ncols, rows
 
 
-def _dense(ncols, rows, scalar):
-    return [[scalar(r.get(c, 0)) for c in range(ncols)] for r in rows]
+def _dense(ncols, rows):
+    return [[r.get(c, 0) for c in range(ncols)] for r in rows]
 
 
 @PROPERTY
 @given(sparse_rows(), st.sampled_from((0, 2, 101)))
 def test_mat_rank_matches_the_dense_oracle(case, char):
     ncols, rows = case
-    scalar = Fraction if char == 0 else (lambda v: GFElement(v, char))
-    expected = dense_rank(_dense(ncols, rows, scalar))
+    expected = dense_rank(_dense(ncols, rows), char)
     assert mat_rank([dict(r) for r in rows], char) == expected
     assert mat_rank([dict(r) for r in reversed(rows)], char) == expected
     if char == 0:
-        assert mat_rank([{c: Fraction(v, 3) for c, v in r.items()} for r in rows]) == expected
+        scales = [(k + 2) * (-1) ** k for k in range(len(rows))]
+        assert mat_rank([{c: s * v for c, v in r.items()} for s, r in zip(scales, rows)]) == expected
+
+
+@PROPERTY
+@given(sparse_rows(), st.sampled_from((0, 2, 101)))
+def test_echelon_stores_normalised_pivot_rows(case, char):
+    # over Q primitive integer rows (entry gcd 1), over GF(p) rows with lead 1
+    _, rows = case
+    for lead, pivot in echelon([dict(r) for r in rows], char).items():
+        assert min(pivot) == lead and all(type(v) is int and v for v in pivot.values())
+        if char:
+            assert pivot[lead] == 1 and all(0 < v < char for v in pivot.values())
+        else:
+            assert gcd(*pivot.values()) == 1
 
 
 def test_mat_rank_of_no_rows_is_zero():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -34,8 +33,9 @@ from strandbox import (
     soc_quotient_decomposition,
     string_module,
 )
-from strandbox import delta_length
-from strandbox.linalg import scalar_from_spec
+from strandbox import BandModuleClass, Band, Representation, delta_length, hom_dim
+from strandbox.algebra import arrow_named
+from strandbox.linalg import is_irreducible_mod, scalar_from_spec
 from strandbox.modules import module_from_json, module_to_json, relations_vanish
 
 from conftest import all_orientations
@@ -126,14 +126,20 @@ def test_is_projective_injective_flags(a3):
     assert is_injective(string_module(parse_word(a3, "e1")))  # I_1 = M(e1)
 
 
+def as_int(rep, name):
+    """The matrix of arrow `name`, densified from `dims` and the sparse dict."""
+    a = arrow_named(rep.presentation)[name]
+    return [[rep.mats[name].get((r, c), 0) for c in range(rep.dims[a.source - 1])]
+            for r in range(rep.dims[a.target - 1])]
+
+
 def test_representation_matrices_frozen(a3):
     rep = build_representation(string_module(parse_word(a3, W1)))
     assert rep.dims == (2, 2, 2)
-    as_int = lambda m: [[int(x) for x in row] for row in m]
-    assert as_int(rep.mats["e1"]) == [[0, 0], [0, 0]]
-    assert as_int(rep.mats["e3"]) == [[0, 1], [0, 0]]
-    assert as_int(rep.mats["a21"]) == [[1, 0], [0, 1]]
-    assert as_int(rep.mats["a32"]) == [[1, 0], [0, 1]]
+    assert as_int(rep, "e1") == [[0, 0], [0, 0]]
+    assert as_int(rep, "e3") == [[0, 1], [0, 0]]
+    assert as_int(rep, "a21") == [[1, 0], [0, 1]]
+    assert as_int(rep, "a32") == [[1, 0], [0, 1]]
     assert relations_vanish(rep)
 
 
@@ -142,9 +148,8 @@ def test_band_representation_frozen(a3):
     b = band_module(canonical_band(parse_word(a3, W2)), (-lam, 1), 1)
     rep = build_representation(b)
     assert rep.dims == (2, 2, 2)
-    as_int = lambda m: [[int(x) for x in row] for row in m]
-    assert as_int(rep.mats["e1"]) == [[0, lam], [0, 0]]
-    assert as_int(rep.mats["e3"]) == [[0, 1], [0, 0]]
+    assert as_int(rep, "e1") == [[0, lam], [0, 0]]
+    assert as_int(rep, "e3") == [[0, 1], [0, 0]]
     assert relations_vanish(rep)
 
 
@@ -205,7 +210,7 @@ def test_hom_over_prime_field(a3):
 def test_band_parameter_with_zero_constant_term_in_the_field_is_rejected(a3):
     # T^2 - 2 is T^2 over GF(2), which gives no band module
     m = band_module(parse_band(a3, W2), canonical_simple_param(2))
-    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*constant term 0 over PrimeField\(2\)"):
+    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*constant term 0 over GF\(2\)"):
         hom_dim_modules(m, m, scalar_from_spec("fp:2"))
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
@@ -213,7 +218,7 @@ def test_band_parameter_with_zero_constant_term_in_the_field_is_rejected(a3):
 def test_band_parameter_reducible_in_the_field_is_rejected(a3):
     # T^2 - 2 = (T - 3)(T + 3) over GF(7); over GF(3) it stays irreducible
     m = band_module(parse_band(a3, W2), canonical_simple_param(2))
-    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*reducible over PrimeField\(7\)"):
+    with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*reducible over GF\(7\)"):
         hom_dim_modules(m, m, scalar_from_spec("fp:7"))
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
@@ -228,5 +233,74 @@ def test_module_text_and_json_round_trip(a3):
 
 
 def test_representation_scalar_is_exact(a3):
-    rep = build_representation(projective_string(a3, 1))
-    assert all(isinstance(x, Fraction) for row in rep.mats["a21"] for x in row)
+    # (T - 5)^2 = T^2 - 10T + 25: its companion block has entries 1, -25 and 10
+    band = band_module(parse_band(a3, W2), (-5, 1), 2)
+    for field in ("rat", "fp:3", "fp:101"):
+        char = scalar_from_spec(field)
+        for m in (projective_string(a3, 1), band):
+            rep = build_representation(m, char)
+            assert rep.char == char
+            entries = [v for mat in rep.mats.values() for v in mat.values()]
+            assert entries and all(type(v) is int and v for v in entries)
+            if char:
+                assert all(0 <= v < char for v in entries)
+    assert -25 in build_representation(band).mats["e1"].values()
+
+
+def test_relations_vanish_reduces_the_product_mod_p(a3):
+    # e1 = [[1, 1], [2, 2]] squares to [[3, 3], [6, 6]]: zero over GF(3) only
+    e1 = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
+    mats = {a.name: {} for a in a3.arrows}
+    mats["e1"] = e1
+    assert relations_vanish(Representation(a3, (2, 0, 0), mats, 3))
+    assert not relations_vanish(Representation(a3, (2, 0, 0), mats, 0))
+
+
+def test_hom_between_representations_over_different_fields_is_rejected(a3):
+    m = projective_string(a3, 1)
+    with pytest.raises(DomainError, match="different fields"):
+        hom_dim(build_representation(m), build_representation(m, 3))
+    with pytest.raises(DomainError, match="different fields"):
+        hom_dim(build_representation(m, 101), build_representation(m, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_canonical_band_starts_with_a_direct_loop(n):
+    # so build_representation puts the parameter block on letter 0 of every
+    # band module built through band_module, and never inverts it
+    for orientation in all_orientations(n):
+        p = build_type_C_algebra(n, orientation)
+        for b in enumerate_bands(p, 3):
+            first = canonical_band(b).letters[0]
+            assert first.sign > 0 and first.arrow.is_loop, (orientation, b)
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:3", "fp:101"])
+@pytest.mark.parametrize("n, orientation", [(3, "RR"), (3, "LR"), (4, "RRL")])
+def test_a_band_rotated_to_an_inverse_first_letter_gives_the_same_module(n, orientation, field):
+    # the parameter block acting on an inverse letter would give the band
+    # module of the reciprocal parameter, which Hom with the canonical
+    # module tells apart unless the parameter is its own reciprocal
+    p = build_type_C_algebra(n, orientation)
+    char = scalar_from_spec(field)
+    strings = [build_representation(string_module(w), char) for w in enumerate_strings(p, 3)]
+    checked = 0
+    for b in enumerate_bands(p, 2):
+        for s in (1, 2):
+            param = canonical_simple_param(s)
+            if char and not is_irreducible_mod(param, char):
+                continue
+            canon = build_representation(band_module(b, param), char)
+            end = hom_dim(canon, canon)
+            letters = b.letters
+            for i, c in enumerate(letters):
+                if c.sign > 0:
+                    continue
+                turned = Band(p, letters[i:] + letters[:i])
+                rot = build_representation(BandModuleClass(turned, param, 1), char)
+                assert hom_dim(rot, rot) == hom_dim(rot, canon) == hom_dim(canon, rot) == end
+                for y in strings:
+                    assert hom_dim(rot, y) == hom_dim(canon, y)
+                    assert hom_dim(y, rot) == hom_dim(y, canon)
+                checked += 1
+    assert checked
