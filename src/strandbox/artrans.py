@@ -252,7 +252,7 @@ _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}
 
 def index(w):
     """(left, right) irreducible-map counts of M(w) in the AR-quiver."""
-    m = string_module(w) if isinstance(w, StringWord) else w
+    m = string_module(w)
     arrows, _ = mesh_arrows(m)
     idx = (sum(b == m for _, b in arrows), sum(a == m for a, _ in arrows))
     if idx not in _INDEX_SET:
@@ -263,7 +263,7 @@ def index(w):
 def is_minimal(w):
     """Minimality of M(w): every incoming irreducible map surjective, every
     outgoing one injective; evaluated by the case characterization."""
-    m = string_module(w) if isinstance(w, StringWord) else w
+    m = string_module(w)
     w = m.word
     if is_projective(m) or is_injective(m):
         return w.is_trivial
@@ -306,7 +306,7 @@ def minimal_strings(p, max_len=12):
     for t, mods in by_type.items():
         seen = []
         for m in sorted(set(mods), key=lambda m: word_sort_key(m.word)):
-            if not is_minimal(m):
+            if not is_minimal(m.word):
                 raise InternalCheckError(f"classified module {m!r} fails minimality (type {t})")
             seen.append(m)
         by_type[t] = seen
@@ -474,7 +474,7 @@ def classify_component(seed):
     if isinstance(seed, BandModuleClass):
         return "HomogeneousTube", 1
     base = _descend_to_minimal(seed)
-    if not is_minimal(base):
+    if not is_minimal(base.word):
         raise InternalCheckError("descent did not reach a minimal module")
     idx = index(base.word)
     n = base.word.presentation.n

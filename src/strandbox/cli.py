@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: strings, bands, tau, component, minimal, tube, roots,
-verify-gls, verify-coxeter.  Output goes to stdout, diagnostics to stderr;
-exit code 0 on success, 1 on a failed verification, 2 on usage errors.
+Subcommands and their --format choices (the first is the default):
+strings, bands, minimal, roots and verify-gls take table|json; component
+takes dot|json; tube takes table|json|dot; tau, classify and
+verify-coxeter print plain text and take no --format.  Output goes to
+stdout, diagnostics to stderr; exit code 0 on success, 1 on a failed
+verification, 2 on usage errors.
 The environment variable STRANDBOX_FIELD (rat | fp:<prime>, the prime at
 most 2^31 - 1) selects the base field for Hom/Ext computations.
 """
@@ -183,12 +186,17 @@ def cmd_verify_coxeter(args):
     return 1
 
 
-def _add_common(sub, orient=True):
+TABLE_JSON = ("table", "json")
+
+
+def _add_common(sub, formats=()):
+    """--n and --orient, and --format over `formats` (the first is the
+    default) when the subcommand prints more than one."""
     sub.add_argument("--n", type=int, required=True, help="number of vertices (>= 3)")
-    if orient:
-        sub.add_argument("--orient", required=True,
-                         help="spine orientation, e.g. RRL (R: i->i+1)")
-    sub.add_argument("--format", choices=("table", "json", "dot"), default="table")
+    sub.add_argument("--orient", required=True,
+                     help="spine orientation, e.g. RRL (R: i->i+1)")
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser():
@@ -200,12 +208,12 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("strings", help="enumerate string classes up to a length")
-    _add_common(s)
+    _add_common(s, TABLE_JSON)
     s.add_argument("--max-len", type=int, required=True)
     s.set_defaults(fn=cmd_strings)
 
     s = subs.add_parser("bands", help="enumerate band classes up to a delta-length")
-    _add_common(s)
+    _add_common(s, TABLE_JSON)
     s.add_argument("--max-dl", type=int, required=True)
     s.set_defaults(fn=cmd_bands)
 
@@ -218,7 +226,7 @@ def build_parser():
     s.set_defaults(fn=cmd_tau)
 
     s = subs.add_parser("component", help="breadth-first AR component window")
-    _add_common(s)
+    _add_common(s, ("dot", "json"))
     s.add_argument("seed")
     s.add_argument("--radius", type=int, required=True)
     s.set_defaults(fn=cmd_component)
@@ -229,13 +237,13 @@ def build_parser():
     s.set_defaults(fn=cmd_classify)
 
     s = subs.add_parser("minimal", help="minimal string modules by index type")
-    _add_common(s)
+    _add_common(s, TABLE_JSON)
     s.add_argument("--max-len", type=int, default=12,
                    help="length bound for the (2,2) family")
     s.set_defaults(fn=cmd_minimal)
 
     s = subs.add_parser("tube", help="the rank-(n-1) tube, level by level")
-    _add_common(s)
+    _add_common(s, ("table", "json", "dot"))
     s.add_argument("--levels", type=int, default=None)
     s.set_defaults(fn=cmd_tube)
 
@@ -246,11 +254,11 @@ def build_parser():
                    help="use the Coxeter-orbit description instead of reflection BFS")
     s.add_argument("--seq", help="comma-separated +-admissible sequence")
     s.add_argument("--orient", help="spine orientation (closed form only)")
-    s.add_argument("--format", choices=("table", "json"), default="table")
+    s.add_argument("--format", choices=TABLE_JSON, default="table")
     s.set_defaults(fn=cmd_roots)
 
     s = subs.add_parser("verify-gls", help="run the root/rank-vector bijection check")
-    _add_common(s)
+    _add_common(s, TABLE_JSON)
     s.add_argument("--bound", type=int, required=True)
     s.set_defaults(fn=cmd_verify_gls)
 

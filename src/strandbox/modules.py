@@ -36,7 +36,6 @@ from .strings import (
     StringWord,
     canonical_band,
     canonical_string,
-    concat,
     format_word,
     maximal_append,
     parse_band,
@@ -108,8 +107,9 @@ def canonical_simple_param(s):
 
 
 def band_module(b, param=None, level=1):
-    if isinstance(b, StringWord):
-        b = Band(b.presentation, b.letters)
+    """The band module class of the band letters of b (a Band or a
+    StringWord, trusted to form a band), canonicalised so that equal modules
+    compare equal."""
     b = canonical_band(b)
     if param is None:
         param = canonical_simple_param(1)
@@ -125,18 +125,23 @@ def band_module(b, param=None, level=1):
 # dimension and rank vectors
 # ---------------------------------------------------------------------------
 
+def _walk_data(m):
+    """(presentation, letters, walk, block size) of a nonzero module: one
+    basis block of the block size per walk position, 1 for a string and
+    level * degree for a band class."""
+    if isinstance(m, StringModule):
+        w = m.word
+        return w.presentation, w.letters, w.walk(), 1
+    if isinstance(m, BandModuleClass):
+        b = m.band
+        return b.presentation, b.letters, b.walk(), m.level * m.param_degree
+    raise DomainError(f"{m!r} is not a string or band module")
+
+
 def dim_vector(m):
     """Per-vertex dimensions: walk visit counts (scaled for band classes)."""
-    if m is ZERO:
-        raise DomainError("the zero module has no dimension vector here")
-    if isinstance(m, StringModule):
-        p = m.word.presentation
-        walk = m.word.walk()
-        return tuple(walk.count(i) for i in p.vertices)
-    p = m.band.presentation
-    factor = m.level * m.param_degree
-    walk = m.band.walk()
-    return tuple(factor * walk.count(i) for i in p.vertices)
+    p, _, walk, d = _walk_data(m)
+    return tuple(d * walk.count(i) for i in p.vertices)
 
 
 def dim_sum(m):
@@ -150,16 +155,7 @@ def _loop_vertices(p):
 def is_locally_free(m):
     """e_iM free over H_i for all i: at a loop vertex the loop must act as a
     square-zero map of rank dim_i/2, i.e. every visit is paired by a loop edge."""
-    if m is ZERO:
-        raise DomainError("local freeness is asked of nonzero modules")
-    if isinstance(m, StringModule):
-        p = m.word.presentation
-        letters = m.word.letters
-        walk = m.word.walk()
-    else:
-        p = m.band.presentation
-        letters = m.band.letters
-        walk = m.band.walk()
+    p, letters, walk, _ = _walk_data(m)
     for v in _loop_vertices(p):
         visits = walk.count(v)
         loops = sum(1 for c in letters if c.arrow.is_loop and c.arrow.source == v)
@@ -172,7 +168,7 @@ def rank_vector(m):
     """Free ranks r_i: halve dimensions at the loop vertices."""
     if not is_locally_free(m):
         raise NotLocallyFree(f"{m!r} is not locally free")
-    p = m.word.presentation if isinstance(m, StringModule) else m.band.presentation
+    p = _walk_data(m)[0]
     dims = dim_vector(m)
     loops = set(_loop_vertices(p))
     return tuple(d // 2 if i in loops else d for i, d in zip(p.vertices, dims))
@@ -205,20 +201,15 @@ def build_representation(m, char=0):
     first letter), so no inverse is formed.  Over GF(p) the parameter must
     be irreducible with nonzero constant term, or DomainError is raised.
     """
-    if m is ZERO:
-        raise DomainError("cannot build the zero representation this way")
-    if isinstance(m, StringModule):
-        p, letters, walk = m.word.presentation, m.word.letters, m.word.walk()
-        d, phi, first = 1, None, None
-    else:
+    p, letters, walk, d = _walk_data(m)
+    phi = first = None
+    if isinstance(m, BandModuleClass):
         if not field_value(m.param[0], char):
             raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
                               f" over {field_name(char)}; it gives no band module there")
         if char and not is_irreducible_mod(m.param, char):
             raise DomainError(f"band parameter {m.param} (constant term first) is reducible over"
                               f" {field_name(char)}; it gives no indecomposable band module there")
-        p, letters, walk = m.band.presentation, m.band.letters, m.band.walk()
-        d = m.level * m.param_degree
         phi = companion_matrix(poly_pow(m.param, m.level), char)
         first = next(k for k, c in enumerate(letters) if c.sign > 0)
     # a band's walk closes up: its last letter returns to position 0
@@ -302,7 +293,7 @@ def hom_dim_modules(x, y, char=0):
 def ext1_dim_locally_free(x, y, char=0):
     """Ext^1 between locally free modules via the bilinear-form identity."""
     rx, ry = rank_vector(x), rank_vector(y)
-    p = x.word.presentation if isinstance(x, StringModule) else x.band.presentation
+    p = _walk_data(x)[0]
     cd = roots.cartan(p.n)
     pairing = roots.ringel_form(cd, p.orientation, rx, ry)
     value = hom_dim_modules(x, y, char) - pairing
@@ -340,7 +331,7 @@ def projective_string(p, i):
     paths = [_max_direct_path_from(p, a) for a in outs]
     if len(paths) == 1:
         return string_module(paths[0])
-    return string_module(concat(paths[0], paths[1].inverse))
+    return string_module(word(p, paths[0].letters + paths[1].inverse.letters))
 
 
 def injective_string(p, i):
@@ -351,7 +342,7 @@ def injective_string(p, i):
     paths = [_max_direct_path_into(p, a) for a in ins]
     if len(paths) == 1:
         return string_module(paths[0])
-    return string_module(concat(paths[0].inverse, paths[1]))
+    return string_module(word(p, paths[0].inverse.letters + paths[1].letters))
 
 
 def rad_decomposition(p, i):

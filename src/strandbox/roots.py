@@ -235,29 +235,18 @@ def coxeter(cd, seq):
 
 
 def beta(cd, seq, k, polarity="+"):
-    """beta_{i,k} for an admissible sequence (1-based k)."""
-    if polarity == "+":
-        x = simple_root(cd, seq[k - 1])
-        for i in reversed(seq[:k - 1]):
-            x = reflect(cd, i, x)
-        return x
+    """beta_{i,k} for an admissible sequence (1-based k): alpha_{i_k} reflected
+    by i_{k-1}, ..., i_1 for polarity +, by i_{k+1}, ..., i_m for -."""
     x = simple_root(cd, seq[k - 1])
-    for i in seq[k:]:
+    for i in reversed(seq[:k - 1]) if polarity == "+" else seq[k:]:
         x = reflect(cd, i, x)
     return x
 
 
 def gamma(cd, seq, k, polarity="+"):
-    """gamma_{i,k} for an admissible sequence (1-based k)."""
-    if polarity == "+":
-        x = simple_root(cd, seq[k - 1])
-        for i in seq[k:]:
-            x = reflect(cd, i, x)
-        return x
-    x = simple_root(cd, seq[k - 1])
-    for i in reversed(seq[:k - 1]):
-        x = reflect(cd, i, x)
-    return x
+    """gamma_{i,k} for an admissible sequence (1-based k): beta_{i,k} of the
+    other polarity."""
+    return beta(cd, seq, k, "-" if polarity == "+" else "+")
 
 
 def bounded_orbit(cd, orbit, bound, vector=lambda x: x):

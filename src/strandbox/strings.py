@@ -18,6 +18,10 @@ table per presentation (`_kernel`): the set of letter pairs that may stand
 next to each other (composable, not backtracking, not a length-2 relation
 or its inverse).  Relations of any other length keep the general window
 check.
+
+Words are checked once, where they enter the program: `Letter`,
+`trivial_word`, `string_word`, `parse_word` and `parse_band` validate; `word`,
+`canonical_string` and `canonical_band` trust their input.
 """
 
 from __future__ import annotations
@@ -216,11 +220,8 @@ def _letters_valid(k: _Kernel, letters):
 
 
 def is_string(w):
-    """Validity per the string definition; DomainError on foreign letters."""
-    if isinstance(w, Band):
-        w = StringWord(w.presentation, w.letters)
-    if not isinstance(w, StringWord):
-        raise DomainError("is_string expects a StringWord or Band")
+    """Validity per the string definition, of a StringWord or of a Band's
+    letters read as an open word; DomainError on foreign letters."""
     p, letters = w.presentation, w.letters
     if not letters:
         return w.base in p.vertices and w.tag in (1, -1)
@@ -279,11 +280,10 @@ def maximal_append(p, letters, sign):
 
 
 def canonical_string(w: StringWord):
-    """Representative of the rho-class {w, w^-1}: minimal in the word order."""
-    if not is_string(w):
-        raise DomainError("canonical_string requires a string")
-    if w.is_trivial:
-        return trivial_word(w.presentation, w.base)
+    """Representative of the rho-class {w, w^-1}: minimal in the word order.
+    Trusts that w is a string."""
+    if not w.letters:
+        return StringWord(w.presentation, (), w.base)
     return min(w, w.inverse, key=word_sort_key)
 
 
@@ -291,39 +291,27 @@ def canonical_string(w: StringWord):
 # bands
 # ---------------------------------------------------------------------------
 
-def _as_letter_word(p_or_w, maybe_letters=None):
-    if maybe_letters is not None:
-        return StringWord(p_or_w, tuple(maybe_letters))
-    if isinstance(p_or_w, Band):
-        return StringWord(p_or_w.presentation, p_or_w.letters)
-    return p_or_w
-
-
-def is_band(w, letters=None):
+def is_band(w):
     """Nontrivial closed string, all of whose powers are strings, primitive."""
-    w = _as_letter_word(w, letters)
-    if w.is_trivial or not is_string(w):
-        return False
-    if w.source != w.target:
+    letters = w.letters
+    if not letters or not is_string(w) or letters[-1].source != letters[0].target:
         return False
     p = w.presentation
-    m = len(w.letters)
+    m = len(letters)
     max_rel = max(relation_lengths(p), default=2)
     reps = max(2, -(-max_rel // m) + 1)
-    if not _letters_valid(_kernel(p), w.letters * reps):
+    if not _letters_valid(_kernel(p), letters * reps):
         return False
     for d in range(1, m):
-        if m % d == 0 and w.letters == w.letters[:d] * (m // d):
+        if m % d == 0 and letters == letters[:d] * (m // d):
             return False
     return True
 
 
 def canonical_band(b):
-    """Representative of the rho'-class: minimum over rotations and inverses."""
-    if isinstance(b, StringWord):
-        b = Band(b.presentation, b.letters)
-    if not is_band(StringWord(b.presentation, b.letters)):
-        raise DomainError("canonical_band requires a band")
+    """Representative of the rho'-class of the band letters of b (a Band or
+    a StringWord): minimum over rotations and inverses.  Trusts that they
+    form a band; `parse_band` checks band texts."""
     m = len(b.letters)
     candidates = []
     for letters in (b.letters, tuple(c.inverse for c in reversed(b.letters))):
@@ -408,8 +396,6 @@ def enumerate_bands(p, max_dl):
 
 def delta_length(b):
     """Number of spine copies in the band's standard form."""
-    if isinstance(b, StringWord):
-        b = Band(b.presentation, b.letters)
     p = b.presentation
     if not is_ctilde(p):
         raise UnsupportedPresentation("delta-length requires the C-tilde family")
@@ -421,24 +407,6 @@ def delta_length(b):
 
 
 # ---------------------------------------------------------------------------
-# concatenation
-# ---------------------------------------------------------------------------
-
-def concat(*parts):
-    """Concatenate words left to right (composition order); validates result."""
-    parts = [w for w in parts if w is not None]
-    if not parts:
-        raise DomainError("empty concatenation")
-    p = parts[0].presentation
-    letters = []
-    for w in parts:
-        letters.extend(w.letters)
-    if letters:
-        return string_word(p, letters)
-    return trivial_word(p, parts[0].base)
-
-
-# ---------------------------------------------------------------------------
 # text forms
 # ---------------------------------------------------------------------------
 
@@ -447,9 +415,7 @@ def format_letters(letters):
 
 
 def format_word(w):
-    if isinstance(w, Band):
-        return format_letters(w.letters)
-    if w.is_trivial:
+    if not w.letters:
         return f"triv({w.base})"
     return format_letters(w.letters)
 
@@ -478,5 +444,8 @@ def parse_word(p, text):
 
 
 def parse_band(p, text):
+    """Parse the dotted letters of a band; the one place a band text is checked."""
     w = parse_word(p, text)
+    if not is_band(w):
+        raise DomainError(f"not a band: {text!r}")
     return canonical_band(w)

@@ -302,28 +302,21 @@ def check_coxeter_compatibility(p, seq, depth):
     problems = []
     values = []
     for k, i in enumerate(seq, start=1):
-        m = projective_string(p, i)
-        expected = beta(cd, seq, k, polarity)
-        for r in range(depth + 1):
-            got = rank_vector(m)
-            if got != expected:
-                problems.append(f"rank(tau^-{r} P_{i}) = {got} != c^-{r}(beta_{k}) = {expected}")
-            values.append(got)
-            m = tau_inv(m)
-            if m is ZERO:
-                break
-            expected = cox.apply(expected, -sign)
-        m = injective_string(p, i)
-        expected = gamma(cd, seq, k, polarity)
-        for s in range(depth + 1):
-            got = rank_vector(m)
-            if got != expected:
-                problems.append(f"rank(tau^{s} I_{i}) = {got} != c^{s}(gamma_{k}) = {expected}")
-            values.append(got)
-            m = tau(m)
-            if m is ZERO:
-                break
-            expected = cox.apply(expected, sign)
+        # (start, step, root, Coxeter power per step, "-" on the tau^-1 side)
+        sides = ((projective_string(p, i), tau_inv, beta(cd, seq, k, polarity), -sign, "-"),
+                 (injective_string(p, i), tau, gamma(cd, seq, k, polarity), sign, ""))
+        for m, step, expected, power, minus in sides:
+            name, root = ("P", "beta") if minus else ("I", "gamma")
+            for r in range(depth + 1):
+                got = rank_vector(m)
+                if got != expected:
+                    problems.append(f"rank(tau^{minus}{r} {name}_{i}) = {got} != "
+                                    f"c^{minus}{r}({root}_{k}) = {expected}")
+                values.append(got)
+                m = step(m)
+                if m is ZERO:
+                    break
+                expected = cox.apply(expected, power)
     if len(set(values)) != len(values):
         problems.append("rank vectors along the orbits are not pairwise distinct")
     return CheckReport("coxeter-compatibility", not problems, problems)

@@ -133,10 +133,14 @@ def test_component_rejects_a_negative_radius(capsys):
     "band(e1.a21~.a32~.e3.a32.a21;x)",
     "band(e1.a21~.a32~.e3.a32.a21;1;two)",
     "band(e1.a21~.a32~.e3.a32.a21;1;1;1)",
+    "band(a21~.a32~.e3.a32.a21)",  # an open string
+    "band(e1.a21~.a32~.e3.a32.a21.e1.a21~.a32~.e3.a32.a21)",  # a proper power
+    "band(e1.e1)",  # a relation
 ])
 def test_tau_rejects_a_malformed_band_module(capsys, text):
     code, _, err = run(capsys, "tau", "--n", "3", "--orient", "RR", text)
     assert code == 2 and "error" in err
+    assert text[len("band("):-1].split(";")[0] in err
 
 
 @pytest.mark.parametrize("power", [str(MAX_POWER + 1), "-100000000", "100000000"])
@@ -194,3 +198,17 @@ def test_a_field_above_the_size_limit_is_a_usage_error(capsys, monkeypatch):
 def test_a_negative_size_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and "must be >= 0" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "3,2,1", "--format", "json"),
+    ("tau", "--n", "3", "--orient", "RR", "triv(2)", "--format", "json"),
+    ("classify", "--n", "3", "--orient", "RR", "triv(2)", "--format", "table"),
+    ("strings", "--n", "3", "--orient", "RR", "--max-len", "1", "--format", "dot"),
+    ("component", "--n", "3", "--orient", "RR", "triv(2)", "--radius", "1", "--format", "table"),
+])
+def test_a_format_the_subcommand_does_not_print_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from strandbox import (
     format_word,
     is_band,
     is_string,
+    parse_band,
     parse_word,
     spine_walk_word,
     string_word,
@@ -155,6 +157,12 @@ def test_parse_rejects_garbage(a3):
         parse_word(a3, "e1.e1")
     with pytest.raises(DomainError):
         string_word(a3, parse_word(a3, "e1").letters * 2)
+
+
+@pytest.mark.parametrize("text", [W1, f"{W2}.{W2}", "e1.e1"])
+def test_parse_band_rejects_a_text_that_is_no_band(a3, text):
+    with pytest.raises(DomainError, match=re.escape(text)):
+        parse_band(a3, text)
 
 
 def test_sort_key_total_order(a3):

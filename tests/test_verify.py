@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from strandbox import (
+    ZERO,
     DomainError,
     beta,
     build_type_C_algebra,
@@ -17,9 +19,11 @@ from strandbox import (
     projective_string,
     quadratic,
     rank_vector,
+    tau,
     tau_inv,
     tau_locally_free_rank_vectors,
 )
+from strandbox import verify
 
 from conftest import all_orientations
 from oracles import fails_tau_local_freeness
@@ -111,6 +115,25 @@ def test_check_coxeter(a3):
     assert rep_minus.passed
     with pytest.raises(DomainError):
         check_coxeter_compatibility(a3, (2, 1, 3), 4)
+
+
+@pytest.mark.parametrize("name, real, side", [
+    ("tau_inv", tau_inv, r"rank\(tau\^-(\d+) P_\d\) = \(.+\) != c\^-(\d+)\(beta_\d\) = \(.+\)"),
+    ("tau", tau, r"rank\(tau\^(\d+) I_\d\) = \(.+\) != c\^(\d+)\(gamma_\d\) = \(.+\)"),
+])
+def test_check_coxeter_reports_a_skipped_step_on_its_side(a3, monkeypatch, name, real, side):
+    def skip(m):
+        m = real(m)
+        return m if m is ZERO else real(m)
+
+    monkeypatch.setattr(verify, name, skip)
+    rep = check_coxeter_compatibility(a3, (3, 2, 1), 6)
+    assert not rep.passed
+    ranks = [p for p in rep.problems if p.startswith("rank(")]
+    assert ranks
+    for problem in ranks:
+        match = re.fullmatch(side, problem)
+        assert match and match[1] == match[2] != "0", problem
 
 
 def test_check_tube_invariants(a4):
