@@ -33,8 +33,9 @@ class Arrow:
 
 
 def arrow_key(a: Arrow):
-    """Total order on arrows: loops first, then by source, then target."""
-    return (0 if a.is_loop else 1, a.source, a.target)
+    """Total order on arrows: loops first, then by source, then target, then
+    name (which tells parallel arrows apart)."""
+    return (0 if a.is_loop else 1, a.source, a.target, a.name)
 
 
 @dataclass(frozen=True)

@@ -221,30 +221,33 @@ def ar_sequence_starting_at(m):
     return ARSequence(m, middle, string_module(both), _KIND[lsign] + _KIND[rsign])
 
 
+def _translate(m, sign, what):
+    """tau^{-1} (sign +1) or tau (sign -1) of a non-injective, resp.
+    non-projective, string module, by the ray case or one step per side."""
+    w = m.word
+    matches = _ray_letters(w, -sign)
+    if matches:
+        return _only({string_module(ray(w.presentation, c.inverse)) for c in matches}, what, w)
+    _, right = _step(w, sign)
+    return string_module(_step_left(right, sign)[1])
+
+
 def tau_inv(m):
-    """tau^{-1}: zero on injectives, identity on band classes."""
+    """tau^{-1}: zero on injectives, identity on band classes; the dual of tau."""
     if m is ZERO:
         raise DomainError("tau_inv of the zero module")
     if isinstance(m, BandModuleClass):
         return m
-    seq = ar_sequence_starting_at(m)
-    return ZERO if seq is None else seq.right
+    return ZERO if is_injective(m) else _translate(m, 1, "tau_inv")
 
 
 def tau(m):
-    """tau: zero on projectives, identity on band classes; dual case analysis."""
+    """tau: zero on projectives, identity on band classes."""
     if m is ZERO:
         raise DomainError("tau of the zero module")
     if isinstance(m, BandModuleClass):
         return m
-    if is_projective(m):
-        return ZERO
-    w = m.word
-    matches = _ray_letters(w, 1)
-    if matches:
-        return _only({string_module(ray(w.presentation, c.inverse)) for c in matches}, "tau", w)
-    _, right = _step(w, -1)
-    return string_module(_step_left(right, -1)[1])
+    return ZERO if is_projective(m) else _translate(m, -1, "tau")
 
 
 _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .algebra import build_type_C_algebra
+from .algebra import build_type_C_algebra, normalize_orientation
 from .artrans import (
     build_component,
     classify_component,
@@ -148,11 +148,13 @@ def cmd_roots(args):
             print("--closed-form requires --seq and --orient", file=sys.stderr)
             return 2
         seq = _seq(args.seq)
-        from .algebra import normalize_orientation
-
         omega = normalize_orientation(args.orient, args.n)
         roots_set = closed_form_positive_roots(cd, omega, seq, args.bound)
     else:
+        for flag in ("seq", "orient"):
+            if getattr(args, flag) is not None:
+                print(f"--{flag} is read only with --closed-form", file=sys.stderr)
+                return 2
         roots_set = enumerate_positive_roots(cd, args.bound)
     ordered = sorted(roots_set)
     if args.format == "json":

@@ -148,30 +148,33 @@ def dim_sum(m):
     return sum(dim_vector(m))
 
 
-def _loop_vertices(p):
-    return sorted({a.source for a in loop_arrows(p)})
+@lru_cache(maxsize=None)
+def _loop_letters(p):
+    """Loop vertex -> the letters, of either sign, of the loops there."""
+    loops = loop_arrows(p)
+    return {v: tuple(Letter(a, s) for a in loops if a.source == v for s in (1, -1))
+            for v in sorted({a.source for a in loops})}
+
+
+def _locally_free(p, letters, walk):
+    return all(2 * sum(map(letters.count, loops)) == walk.count(v)
+               for v, loops in _loop_letters(p).items())
 
 
 def is_locally_free(m):
     """e_iM free over H_i for all i: at a loop vertex the loop must act as a
     square-zero map of rank dim_i/2, i.e. every visit is paired by a loop edge."""
     p, letters, walk, _ = _walk_data(m)
-    for v in _loop_vertices(p):
-        visits = walk.count(v)
-        loops = sum(1 for c in letters if c.arrow.is_loop and c.arrow.source == v)
-        if 2 * loops != visits:
-            return False
-    return True
+    return _locally_free(p, letters, walk)
 
 
 def rank_vector(m):
     """Free ranks r_i: halve dimensions at the loop vertices."""
-    if not is_locally_free(m):
+    p, letters, walk, d = _walk_data(m)
+    if not _locally_free(p, letters, walk):
         raise NotLocallyFree(f"{m!r} is not locally free")
-    p = _walk_data(m)[0]
-    dims = dim_vector(m)
-    loops = set(_loop_vertices(p))
-    return tuple(d // 2 if i in loops else d for i, d in zip(p.vertices, dims))
+    loops = _loop_letters(p)
+    return tuple(d * walk.count(i) // (2 if i in loops else 1) for i in p.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError, InternalCheckError
 
@@ -65,7 +66,7 @@ def is_nonnegative(x):
 
 def reflect(cd, i, x):
     """s_i(x): subtract (sum_j c_ij x_j) from coordinate i."""
-    pairing = sum(cd.c(i, j + 1) * x[j] for j in range(cd.n))
+    pairing = sum(map(mul, cd.rows[i - 1], x))
     out = list(x)
     out[i - 1] -= pairing
     return tuple(out)

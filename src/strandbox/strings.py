@@ -8,8 +8,9 @@ whose powers are strings.
 
 Strings are identified with their inverses (relation rho); bands also with
 all rotations (rho').  Canonical representatives minimize a fixed letter
-order: loops before spine arrows, then by source vertex, direct before
-inverse.  All values are immutable.
+order: loops first, then by source, target and arrow name (a total order,
+even on parallel arrows), direct before inverse.  Canonical forms compare
+letter keys in place, building no candidate they reject.  Values are immutable.
 
 Letters are interned: ``Letter(a, s)`` is one shared instance per
 (arrow, sign), carrying its source, target, inverse and order key, so
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise, product
+from operator import attrgetter
 from threading import Lock
 
 from .algebra import (
@@ -44,6 +46,7 @@ from .errors import DomainError, InternalCheckError, UnsupportedPresentation
 
 _LETTERS = {}  # (arrow, sign) -> the interned Letter
 _LETTERS_LOCK = Lock()  # so that two threads never intern one letter twice
+_INVERSE, _SOURCE = attrgetter("inverse"), attrgetter("source")
 
 
 class Letter:
@@ -66,7 +69,7 @@ class Letter:
             return _LETTERS[arrow, sign]
 
     def _fill(self, arrow, sign, source, target, inverse):
-        key = (0 if arrow.is_loop else 1, arrow.source, arrow.target, 0 if sign > 0 else 1)
+        key = arrow_key(arrow) + (0 if sign > 0 else 1,)
         for name, value in zip(self.__slots__, (arrow, sign, source, target, inverse, key)):
             object.__setattr__(self, name, value)
 
@@ -117,13 +120,13 @@ class StringWord:
     def inverse(self):
         if not self.letters:
             return StringWord(self.presentation, (), self.base, -self.tag)
-        return StringWord(self.presentation, tuple(c.inverse for c in reversed(self.letters)))
+        return StringWord(self.presentation, tuple(map(_INVERSE, reversed(self.letters))))
 
     def walk(self):
         """Vertices x_1..x_{m+1} visited by the word."""
         if not self.letters:
             return (self.base,)
-        return (self.letters[0].target,) + tuple(c.source for c in self.letters)
+        return (self.letters[0].target,) + tuple(map(_SOURCE, self.letters))
 
     def __repr__(self):
         return format_word(self)
@@ -167,7 +170,7 @@ def string_word(p, letters):
 def word_sort_key(w: StringWord):
     if w.is_trivial:
         return (0, (w.base,))
-    return (len(w.letters), tuple(c.key for c in w.letters))
+    return (len(w.letters), tuple(map(letter_key, w.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +284,16 @@ def maximal_append(p, letters, sign):
 
 def canonical_string(w: StringWord):
     """Representative of the rho-class {w, w^-1}: minimal in the word order.
-    Trusts that w is a string."""
-    if not w.letters:
+    Trusts that w is a string.  Decides at the first letter key where w and
+    w^-1 differ, and builds w^-1 only when it wins."""
+    letters = w.letters
+    if not letters:
         return StringWord(w.presentation, (), w.base)
-    return min(w, w.inverse, key=word_sort_key)
+    for c, d in zip(letters, reversed(letters)):
+        key, inverse_key = c.key, d.inverse.key
+        if key != inverse_key:
+            return w if key < inverse_key else w.inverse
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +320,13 @@ def is_band(w):
 def canonical_band(b):
     """Representative of the rho'-class of the band letters of b (a Band or
     a StringWord): minimum over rotations and inverses.  Trusts that they
-    form a band; `parse_band` checks band texts."""
+    form a band; `parse_band` checks band texts.  Rotations are compared as
+    key slices, the first minimum winning (direct rotations first)."""
     m = len(b.letters)
-    candidates = []
-    for letters in (b.letters, tuple(c.inverse for c in reversed(b.letters))):
-        for i in range(m):
-            candidates.append(letters[i:] + letters[:i])
-    best = min(candidates, key=lambda ls: tuple(c.key for c in ls))
-    return Band(b.presentation, best)
+    letters = b.letters * 2 + tuple(map(_INVERSE, reversed(b.letters))) * 2
+    keys = tuple(map(letter_key, letters))
+    start = min((*range(m), *range(2 * m, 3 * m)), key=lambda i: keys[i:i + m])
+    return Band(b.presentation, letters[start:start + m])
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +370,10 @@ def spine_walk_word(p):
     return word(p, letters)
 
 
+@lru_cache(maxsize=None)
 def enumerate_bands(p, max_dl):
-    """All rho'-classes of bands of delta-length <= max_dl (C-tilde only).
+    """All rho'-classes of bands of delta-length <= max_dl (C-tilde only),
+    as a tuple; cached per (p, max_dl).
 
     Generated from the standard form w0^-1 en^± w0 e1^± ... w0 e1^±, which
     exhausts all bands of the family.
@@ -391,7 +401,7 @@ def enumerate_bands(p, max_dl):
             if {c.sign for c in cand.letters} != {1, -1}:
                 raise InternalCheckError("band without both letter directions")
             seen.add(canonical_band(cand))
-    return sorted(seen, key=lambda b: (len(b.letters), tuple(c.key for c in b.letters)))
+    return tuple(sorted(seen, key=lambda b: (len(b.letters), tuple(map(letter_key, b.letters)))))
 
 
 def delta_length(b):

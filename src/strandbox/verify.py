@@ -23,6 +23,7 @@ from .modules import (
     ZERO,
     band_module,
     canonical_simple_param,
+    dim_vector,
     format_module,
     injective_string,
     is_locally_free,
@@ -324,8 +325,6 @@ def check_coxeter_compatibility(p, seq, depth):
 
 def check_tube_invariants(p, char=0):
     """Bottom orbit size, dimension and rank sums, tau-period and rigidity."""
-    from .modules import dim_vector
-
     problems = []
     bottom = tube_bottom(p)
     n = p.n

@@ -9,11 +9,18 @@ dense Hom oracle solves the same intertwiner system as `modules.hom_dim`,
 written out as dense rows and eliminated column by column, over Fractions
 for Q, so that it shares no arithmetic with the library's fraction-free
 integer elimination, and over ints mod p for GF(p).
+
+The last four oracles are the library's earlier implementations of paths it
+now takes faster: canonical forms as a `min` over every candidate word, tau^-1
+read off the whole AR-sequence, and local freeness counted by a generator per
+loop vertex.
 """
 
 from fractions import Fraction
 
-from strandbox import ZERO, is_locally_free, tau, tau_inv
+from strandbox import ZERO, BandModuleClass, is_locally_free, tau, tau_inv
+from strandbox.artrans import ar_sequence_starting_at
+from strandbox.strings import Band, StringWord, word_sort_key
 
 
 def _arrow_maps(p):
@@ -231,3 +238,39 @@ def dense_hom_dim(x, y):
                 if any(row):
                     rows.append(row)
     return total - dense_rank(rows, x.char)
+
+
+def canonical_string_by_min(w):
+    """The smaller of w and w^-1 in the word order (the trivial word tagged +1)."""
+    if not w.letters:
+        return StringWord(w.presentation, (), w.base)
+    return min(w, w.inverse, key=word_sort_key)
+
+
+def canonical_band_by_min(b):
+    """The first minimum, by letter keys, of every rotation of the band
+    letters, then of every rotation of their inverse."""
+    m = len(b.letters)
+    candidates = []
+    for letters in (b.letters, tuple(c.inverse for c in reversed(b.letters))):
+        for i in range(m):
+            candidates.append(letters[i:] + letters[:i])
+    return Band(b.presentation, min(candidates, key=lambda ls: tuple(c.key for c in ls)))
+
+
+def tau_inv_by_ar_sequence(m):
+    """The end term of the AR-sequence starting at m; ZERO for an injective."""
+    seq = ar_sequence_starting_at(m)
+    return ZERO if seq is None else seq.right
+
+
+def is_locally_free_by_generator(m):
+    """At each loop vertex, twice the number of loop letters there equals
+    the number of visits of the walk."""
+    w = m.band if isinstance(m, BandModuleClass) else m.word
+    letters, walk = w.letters, w.walk()
+    for v in sorted({a.source for a in w.presentation.arrows if a.is_loop}):
+        loops = sum(1 for c in letters if c.arrow.is_loop and c.arrow.source == v)
+        if 2 * loops != walk.count(v):
+            return False
+    return True

@@ -44,6 +44,17 @@ def test_roots_closed_form_agrees(capsys):
     assert json.loads(bfs) == json.loads(cf)
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--orient", "XYZ", "--seq", "q"), "--seq"),
+    (("--seq", "3,2,1"), "--seq"),
+    (("--orient", "RR"), "--orient"),
+])
+def test_roots_reads_seq_and_orient_only_with_closed_form(capsys, flags, named):
+    code, out, err = run(capsys, "roots", "--n", "3", "--bound", "1", *flags)
+    assert code == 2 and out == ""
+    assert named in err and "--closed-form" in err
+
+
 def test_verify_gls_json(capsys):
     code, out, _ = run(capsys, "verify-gls", "--n", "3", "--orient", "RR",
                        "--bound", "10", "--format", "json")

@@ -1,0 +1,143 @@
+"""The fast word and translation paths against their former implementations.
+
+`canonical_string`, `canonical_band`, `tau_inv` and `is_locally_free` are
+compared with the slow oracles in `oracles.py` on every orientation with
+n = 3, 4, 5 and on the Kronecker quiver, whose two parallel arrows tie in
+every letter order that does not look at arrow names.
+"""
+
+import itertools
+
+import pytest
+
+from strandbox import (
+    ZERO,
+    Arrow,
+    Presentation,
+    band_module,
+    build_type_C_algebra,
+    canonical_band,
+    canonical_string,
+    enumerate_bands,
+    enumerate_strings,
+    is_locally_free,
+    parse_band,
+    string_module,
+    tau_inv,
+    validate_string_algebra,
+)
+from strandbox import artrans
+from strandbox.algebra import arrow_named
+from strandbox.errors import InternalCheckError
+from strandbox.strings import Band, Letter, string_word, trivial_word, word
+
+from oracles import (
+    canonical_band_by_min,
+    canonical_string_by_min,
+    is_locally_free_by_generator,
+    raw_string_class_count,
+    raw_string_classes,
+    tau_inv_by_ar_sequence,
+)
+
+CTILDE = [
+    build_type_C_algebra(n, "".join(bits))
+    for n in (3, 4, 5)
+    for bits in itertools.product("RL", repeat=n - 1)
+]
+KRONECKER = Presentation(n=2, arrows=(Arrow("a", 1, 2), Arrow("b", 1, 2)), relations=())
+ALL = CTILDE + [KRONECKER]
+
+
+def ids(p):
+    return "kronecker" if p is KRONECKER else f"n{p.n}-{''.join(p.orientation)}"
+
+
+def all_strings(p, max_len):
+    """Every string of length <= max_len, both words of each rho-class and
+    both tags of each trivial string, built from the oracle's classes."""
+    named = arrow_named(p)
+    for key in raw_string_classes(p, max_len):
+        if key[0] == "triv":
+            yield from (trivial_word(p, key[1], tag) for tag in (1, -1))
+        else:
+            w = string_word(p, [Letter(named[name], sign) for name, sign in key])
+            yield from (w, w.inverse)
+
+
+def bands(p):
+    """The bands of delta-length <= 3 (C-tilde), or the one Kronecker band."""
+    if p is KRONECKER:
+        return [parse_band(p, "a.b~")]
+    return list(enumerate_bands(p, 3))
+
+
+def rotations(b):
+    """Every rotation of the band letters and of their inverse."""
+    m = len(b.letters)
+    inverse = tuple(c.inverse for c in reversed(b.letters))
+    return [Band(b.presentation, ls[i:] + ls[:i]) for ls in (b.letters, inverse) for i in range(m)]
+
+
+def test_the_kronecker_quiver_is_a_string_algebra():
+    assert validate_string_algebra(KRONECKER) == []
+
+
+@pytest.mark.parametrize("max_len", range(7))
+def test_kronecker_string_classes_match_the_oracle(max_len):
+    assert len(enumerate_strings(KRONECKER, max_len)) == raw_string_class_count(KRONECKER, max_len)
+
+
+def test_kronecker_canonical_string_is_one_per_class():
+    for w in all_strings(KRONECKER, 6):
+        assert canonical_string(w) == canonical_string(w.inverse), w
+
+
+@pytest.mark.parametrize("p", ALL, ids=ids)
+def test_canonical_string_matches_the_min_oracle(p):
+    for w in all_strings(p, 8):
+        assert canonical_string(w) == canonical_string_by_min(w), w
+
+
+@pytest.mark.parametrize("p", ALL, ids=ids)
+def test_canonical_band_matches_the_min_oracle(p):
+    for b in bands(p):
+        expected = canonical_band_by_min(b)
+        for r in rotations(b):
+            assert canonical_band(r) == canonical_band_by_min(r) == expected, r
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except InternalCheckError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("p", ALL, ids=ids)
+def test_tau_inv_matches_the_ar_sequence_oracle(p):
+    modules = [string_module(w) for w in all_strings(p, 8)]
+    modules += [band_module(b, level=level) for b in bands(p) for level in (1, 2)]
+    for m in modules:
+        assert _outcome(tau_inv, m) == _outcome(tau_inv_by_ar_sequence, m), m
+
+
+@pytest.mark.parametrize("p", ALL, ids=ids)
+def test_is_locally_free_matches_the_generator_oracle(p):
+    modules = [string_module(w) for w in all_strings(p, 8)]
+    modules += [band_module(b) for b in bands(p)]
+    for m in modules:
+        assert is_locally_free(m) == is_locally_free_by_generator(m), m
+
+
+def test_tau_inv_refuses_an_ambiguous_ray_class(monkeypatch, a3):
+    """Two letters whose rays give different modules claim the class of m:
+    both sides raise rather than pick one."""
+    c, d = (Letter(a, -1) for a in a3.arrows[:2])
+    assert artrans.ray(a3, c.inverse) != artrans.ray(a3, d.inverse)
+    m = string_module(word(a3, [Letter(a3.arrows[2], 1)]))
+    assert tau_inv(m) is not ZERO
+    monkeypatch.setattr(artrans, "_ray_letters", lambda w, sign: [c, d])
+    for fn in (tau_inv, tau_inv_by_ar_sequence):
+        with pytest.raises(InternalCheckError, match="ambiguous"):
+            fn(m)
