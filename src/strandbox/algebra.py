@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -223,88 +223,6 @@ def admissible_vertices(p: Presentation):
         elif not incident_in and incident_out:
             result.add((u, "source"))
     return result
-
-
-# ---------------------------------------------------------------------------
-# side functions for the Butler-Ringel calculus
-# ---------------------------------------------------------------------------
-#
-# Each arrow is assigned a side (+1/-1) at its source (sigma) and at its
-# target (epsilon).  Two arrows sharing a source get opposite sigma; two
-# sharing a target opposite epsilon; and sigma(b) = -epsilon(d) whenever the
-# length-2 path b.d avoids the ideal.  The constraint graph is bipartite for
-# any string algebra, so a 2-coloring always exists.  Only trivial strings
-# consult these sides (nontrivial words have unique extensions per side);
-# the seeds below make the hook rays at the loop vertices continue along the
-# spine, which is the convention the tube/local-freeness analysis expects.
-
-@lru_cache(maxsize=None)
-def side_functions(p: Presentation):
-    eps = {}
-    sig = {}
-    by_src = arrows_by_source(p)
-    by_tgt = arrows_by_target(p)
-
-    def propagate(stack):
-        while stack:
-            kind, arrow = stack.pop()
-            table = eps if kind == "e" else sig
-            val = table[arrow]
-            u = arrow.target if kind == "e" else arrow.source
-            partners = by_tgt[u] if kind == "e" else by_src[u]
-            for b in partners:
-                if b != arrow:
-                    if table.get(b, -val) != -val:
-                        raise InternalCheckError("inconsistent side assignment")
-                    if b not in table:
-                        table[b] = -val
-                        stack.append((kind, b))
-            # through-constraints at u couple sigma and epsilon
-            if kind == "e":
-                for b in by_src[u]:
-                    if not path_in_ideal(p, (b, arrow)):
-                        if sig.get(b, -val) != -val:
-                            raise InternalCheckError("inconsistent side assignment")
-                        if b not in sig:
-                            sig[b] = -val
-                            stack.append(("s", b))
-            else:
-                for d in by_tgt[u]:
-                    if not path_in_ideal(p, (arrow, d)):
-                        if eps.get(d, -val) != -val:
-                            raise InternalCheckError("inconsistent side assignment")
-                        if d not in eps:
-                            eps[d] = -val
-                            stack.append(("e", d))
-
-    for u in p.vertices:
-        ins = by_tgt[u]
-        if len(ins) == 2 and ins[1] not in eps:
-            eps[ins[1]] = 1
-            propagate([("e", ins[1])])
-    for u in p.vertices:
-        outs = by_src[u]
-        if len(outs) == 2 and outs[0] not in sig:
-            sig[outs[0]] = 1
-            propagate([("s", outs[0])])
-    for a in sorted(p.arrows, key=arrow_key):
-        if a not in eps:
-            eps[a] = 1
-            propagate([("e", a)])
-        if a not in sig:
-            sig[a] = 1
-            propagate([("s", a)])
-    return eps, sig
-
-
-def in_side(p: Presentation):
-    """epsilon: side of each arrow at its target."""
-    return side_functions(p)[0]
-
-
-def out_side(p: Presentation):
-    """sigma: side of each arrow at its source."""
-    return side_functions(p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ side, tau^{-1} adds a hook, else deletes a cohook; tau adds a cohook, else
 deletes a hook.  Ray classes come first: if M(w) = M(ray(c)), a letter c of
 sign -1 gives the indecomposable middle term M(_-a . a . a_-), a = c^-1,
 and one of sign +1 gives tau M(w) = M(ray(c^-1)).  A trivial word takes the
-letter whose side at its target (epsilon if direct, sigma if inverse) is
-its tag.
+letter whose side at its target is its tag.  Sides 2-colour the letters:
+two distinct letters c, d ending at one vertex have opposite sides exactly
+when d^-1.c is a string.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 
-from .algebra import arrows_by_source, arrows_by_target, in_side, is_ctilde, out_side, spine_arrows
+from .algebra import arrow_key, arrows_by_source, arrows_by_target, is_ctilde, spine_arrows
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
 from .modules import (
     ZERO,
@@ -34,11 +35,10 @@ from .modules import (
     dim_sum,
     dim_vector,
     format_module,
-    injective_table,
+    glued_vertex,
     is_injective,
     is_locally_free,
     is_projective,
-    projective_table,
     rad_decomposition,
     rank_vector,
     simple_module,
@@ -48,11 +48,11 @@ from .modules import (
 from .strings import (
     Letter,
     StringWord,
-    canonical_string,
     enumerate_strings,
     format_word,
     maximal_append,
     raw_extensions,
+    trivial_word,
     word,
     word_sort_key,
 )
@@ -61,24 +61,55 @@ from .strings import (
 # rays
 # ---------------------------------------------------------------------------
 
+def _sides(p):
+    """Each letter's side (+1/-1) at its target, a 2-colouring of the letters.
+
+    Two distinct letters c, d ending at one vertex get opposite sides exactly
+    when d^-1.c is a string; so do two arrows into a vertex, two arrows out
+    of one, and an arrow b against an arrow d with b.d outside the ideal.
+    Only trivial words consult sides (a nontrivial word takes at most one
+    letter of each sign).  The seeds make the hook rays at the loop vertices
+    continue along the spine, the convention the tube analysis expects: the
+    second of two arrows into a vertex, the first of two arrows out of one,
+    then every letter, each taking side +1 unless already coloured.
+    """
+    seeds = chain((Letter(ins[1], 1) for ins in arrows_by_target(p).values() if len(ins) == 2),
+                  (Letter(outs[0], -1) for outs in arrows_by_source(p).values() if len(outs) == 2),
+                  (Letter(a, s) for a in sorted(p.arrows, key=arrow_key) for s in (1, -1)))
+    side = {}
+    for seed in seeds:
+        if seed in side:
+            continue
+        side[seed], stack = 1, [seed]
+        while stack:
+            c = stack.pop()
+            for d in raw_extensions(word(p, (c.inverse,))):  # d ends at t(c), c^-1.d a string
+                if d not in side:
+                    side[d] = -side[c]
+                    stack.append(d)
+                elif side[d] == side[c]:
+                    raise InternalCheckError("inconsistent side assignment")
+    return side
+
+
 @dataclass(frozen=True)
 class _Rays:
     """The rays of one presentation."""
 
     ray: dict  # letter c -> ray(c)
     side: dict  # letter c -> c's side at its target
-    by_class: dict  # canonical class of a ray -> the letters whose ray it is
+    by_class: dict  # ray(c) and ray(c)^-1 -> the letters c with that ray
 
 
 @lru_cache(maxsize=None)
 def _rays(p):
-    eps, sigma = in_side(p), out_side(p)
-    side = {Letter(a, s): (eps if s > 0 else sigma)[a] for a in p.arrows for s in (1, -1)}
+    side = _sides(p)
     ray, by_class = {}, {}
     for c in side:
         added = maximal_append(p, [c], -c.sign)
-        ray[c] = word(p, added) if added else StringWord(p, (), c.source, -side[c.inverse])
-        by_class.setdefault(canonical_string(ray[c]), []).append(c)
+        ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
+        for w in (ray[c], ray[c].inverse):
+            by_class.setdefault(w, []).append(c)
     return _Rays(ray, side, by_class)
 
 
@@ -185,7 +216,7 @@ def _step_left(w, sign):
 
 def _ray_letters(w, sign):
     """The letters c of the given sign with M(ray(c)) = M(w)."""
-    return [c for c in _rays(w.presentation).by_class.get(canonical_string(w), ()) if c.sign == sign]
+    return [c for c in _rays(w.presentation).by_class.get(w, ()) if c.sign == sign]
 
 
 def _only(results, what, w):
@@ -406,12 +437,12 @@ def mesh_arrows(m):
     seq = ar_sequence_starting_at(m)
     if seq is None:
         p = m.word.presentation
-        arrows += [(m, s) for s in soc_quotient_decomposition(p, injective_table(p)[m.word])]
+        arrows += [(m, s) for s in soc_quotient_decomposition(p, glued_vertex(m, 1))]
     else:
         seqs.append(seq)
     if is_projective(m):
         p = m.word.presentation
-        arrows += [(r, m) for r in rad_decomposition(p, projective_table(p)[m.word])]
+        arrows += [(r, m) for r in rad_decomposition(p, glued_vertex(m, -1))]
     else:
         seqs.append(ar_sequence_starting_at(tau(m)))
     for seq in seqs:
@@ -435,7 +466,8 @@ def _add_arrows(g, arrows, translations):
 
 
 def build_component(seed, radius):
-    """Breadth-first window of the AR component of `seed` up to the radius."""
+    """Breadth-first window of the AR component of `seed`: the modules at
+    distance <= radius from it (radius 0 is the seed alone)."""
     if seed is ZERO:
         raise DomainError("cannot seed a component at zero")
     if radius < 0:
@@ -443,13 +475,11 @@ def build_component(seed, radius):
     kind, rank = classify_component(seed)
     g = ComponentGraph(kind, rank, {format_module(seed): seed}, set(), set(),
                        dist={format_module(seed): 0})
-    frontier = [seed]
-    d = 0
-    while frontier:
+    frontier, d = [seed], 0
+    while frontier and d < radius:
         d += 1
-        new = [nb for m in frontier for nb in _add_arrows(g, *mesh_arrows(m))]
-        g.dist.update((format_module(nb), d) for nb in new)
-        frontier = new if d < radius else []
+        frontier = [nb for m in frontier for nb in _add_arrows(g, *mesh_arrows(m))]
+        g.dist.update((format_module(nb), d) for nb in frontier)
     return g
 
 

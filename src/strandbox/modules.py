@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import roots
-from .algebra import arrows_by_source, arrows_by_target, loop_arrows
+from .algebra import loop_arrows
 from .errors import DomainError, InternalCheckError, NotLocallyFree
 from .linalg import (
     companion_matrix,
@@ -40,6 +40,7 @@ from .strings import (
     maximal_append,
     parse_band,
     parse_word,
+    raw_extensions,
     trivial_word,
     word,
     word_sort_key,
@@ -314,85 +315,70 @@ def is_rigid(m, char=0):
 # projectives, injectives, radicals, socle quotients
 # ---------------------------------------------------------------------------
 
-def _max_direct_path_from(p, a):
-    """Maximal direct string whose first (rightmost) arrow is a."""
-    start = [Letter(a, -1)]
-    return word(p, start + maximal_append(p, start, -1)).inverse
+def _max_paths(p, i, sign):
+    """The maximal paths at i whose letters all have the given sign, one per
+    letter ending at i: the direct paths into i (+1) or the inverse paths out
+    of i (-1), each read from i."""
+    return [word(p, [c] + maximal_append(p, [c], sign))
+            for c in raw_extensions(trivial_word(p, i), sign)]
 
 
-def _max_direct_path_into(p, a):
-    """Maximal direct string whose last (leftmost) arrow is a."""
-    start = [Letter(a, 1)]
-    return word(p, start + maximal_append(p, start, 1))
+def _glued(p, i, sign):
+    """P_i (sign -1) or I_i (sign +1): the maximal paths at i glued there."""
+    paths = _max_paths(p, i, sign)
+    if not paths:
+        return simple_module(p, i)
+    letters = paths[0].inverse.letters + (paths[1].letters if len(paths) > 1 else ())
+    return string_module(word(p, letters))
+
+
+def _summands(p, i, sign):
+    """Each maximal path at i without its letter at i, or the simple module at
+    its other end: rad P_i (sign -1) or I_i / soc I_i (sign +1)."""
+    parts = [string_module(word(p, u.letters[1:])) if len(u) > 1 else simple_module(p, u.source)
+             for u in _max_paths(p, i, sign)]
+    return sorted(parts, key=lambda m: word_sort_key(m.word))
 
 
 def projective_string(p, i):
     """P_i as a string module: the two maximal paths out of i glued at i."""
-    outs = arrows_by_source(p)[i]
-    if not outs:
-        return simple_module(p, i)
-    paths = [_max_direct_path_from(p, a) for a in outs]
-    if len(paths) == 1:
-        return string_module(paths[0])
-    return string_module(word(p, paths[0].letters + paths[1].inverse.letters))
+    return _glued(p, i, -1)
 
 
 def injective_string(p, i):
     """I_i as a string module: the two maximal paths into i glued at i."""
-    ins = arrows_by_target(p)[i]
-    if not ins:
-        return simple_module(p, i)
-    paths = [_max_direct_path_into(p, a) for a in ins]
-    if len(paths) == 1:
-        return string_module(paths[0])
-    return string_module(word(p, paths[0].inverse.letters + paths[1].letters))
+    return _glued(p, i, 1)
 
 
 def rad_decomposition(p, i):
     """Indecomposable summands of rad P_i (0, 1 or 2 string modules)."""
-    parts = []
-    for a in arrows_by_source(p)[i]:
-        u = _max_direct_path_from(p, a)
-        if len(u) == 1:
-            parts.append(simple_module(p, a.target))
-        else:
-            parts.append(string_module(word(p, u.letters[:-1])))
-    return sorted(parts, key=lambda m: word_sort_key(m.word))
+    return _summands(p, i, -1)
 
 
 def soc_quotient_decomposition(p, i):
     """Indecomposable summands of I_i / soc I_i."""
-    parts = []
-    for a in arrows_by_target(p)[i]:
-        u = _max_direct_path_into(p, a)
-        if len(u) == 1:
-            parts.append(simple_module(p, a.source))
-        else:
-            parts.append(string_module(word(p, u.letters[1:])))
-    return sorted(parts, key=lambda m: word_sort_key(m.word))
+    return _summands(p, i, 1)
 
 
 @lru_cache(maxsize=None)
-def projective_table(p):
-    """Map canonical projective string -> vertex."""
-    return {projective_string(p, i).word: i for i in p.vertices}
+def _glued_table(p, sign):
+    """Canonical word of P_i (sign -1) or I_i (sign +1) -> i."""
+    return {_glued(p, i, sign).word: i for i in p.vertices}
 
 
-@lru_cache(maxsize=None)
-def injective_table(p):
-    return {injective_string(p, i).word: i for i in p.vertices}
+def glued_vertex(m, sign):
+    """The vertex i with m = P_i (sign -1) or m = I_i (sign +1), else None."""
+    if not isinstance(m, StringModule):
+        return None
+    return _glued_table(m.word.presentation, sign).get(m.word)
 
 
 def is_projective(m):
-    if not isinstance(m, StringModule):
-        return False
-    return m.word in projective_table(m.word.presentation)
+    return glued_vertex(m, -1) is not None
 
 
 def is_injective(m):
-    if not isinstance(m, StringModule):
-        return False
-    return m.word in injective_table(m.word.presentation)
+    return glued_vertex(m, 1) is not None
 
 
 # ---------------------------------------------------------------------------

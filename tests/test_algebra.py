@@ -10,9 +10,13 @@ from strandbox import (
     presentation_to_json,
     validate_string_algebra,
 )
-from strandbox.algebra import in_side, out_side, path_in_ideal
+from strandbox import Letter
+from strandbox.algebra import path_in_ideal
+from strandbox.artrans import _rays
 
 from conftest import all_orientations
+from test_fast_paths import KRONECKER
+from test_word_kernel import linear_a4_with_a_cubic_relation
 
 
 def test_a3_linear_shape(a3):
@@ -95,22 +99,26 @@ def test_json_round_trip(a4_rrl):
 
 
 def test_side_functions_consistency():
-    for n in (3, 4, 5, 6):
-        for orient in all_orientations(n):
-            p = build_type_C_algebra(n, orient)
-            eps, sig = in_side(p), out_side(p)
-            by_tgt = {}
-            by_src = {}
-            for a in p.arrows:
-                by_tgt.setdefault(a.target, []).append(a)
-                by_src.setdefault(a.source, []).append(a)
-            for u, arrows in by_tgt.items():
-                if len(arrows) == 2:
-                    assert eps[arrows[0]] == -eps[arrows[1]]
-            for u, arrows in by_src.items():
-                if len(arrows) == 2:
-                    assert sig[arrows[0]] == -sig[arrows[1]]
-            for b in p.arrows:
-                for d in by_tgt.get(b.source, []):
-                    if not path_in_ideal(p, (b, d)):
-                        assert sig[b] == -eps[d]
+    """The letter sides agree with the three side rules: opposite at a common
+    target, opposite at a common source, and sigma(b) = -epsilon(d) when b.d
+    avoids the ideal."""
+    ctilde = [build_type_C_algebra(n, o) for n in (3, 4, 5, 6) for o in all_orientations(n)]
+    for p in ctilde + [KRONECKER, linear_a4_with_a_cubic_relation()]:
+        side = _rays(p).side
+        eps = {a: side[Letter(a, 1)] for a in p.arrows}
+        sig = {a: side[Letter(a, -1)] for a in p.arrows}
+        by_tgt = {}
+        by_src = {}
+        for a in p.arrows:
+            by_tgt.setdefault(a.target, []).append(a)
+            by_src.setdefault(a.source, []).append(a)
+        for u, arrows in by_tgt.items():
+            if len(arrows) == 2:
+                assert eps[arrows[0]] == -eps[arrows[1]]
+        for u, arrows in by_src.items():
+            if len(arrows) == 2:
+                assert sig[arrows[0]] == -sig[arrows[1]]
+        for b in p.arrows:
+            for d in by_tgt.get(b.source, []):
+                if not path_in_ideal(p, (b, d)):
+                    assert sig[b] == -eps[d]

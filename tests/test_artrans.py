@@ -368,6 +368,15 @@ def test_minimal_22_smallest_in_window(a3):
                 assert sum(dim_vector(node)) > sum(dim_vector(m))
 
 
+def test_component_radius_is_the_largest_distance(a3):
+    for r in range(4):
+        g = build_component(simple_module(a3, 2), r)
+        assert max(g.dist.values()) == r
+        assert set(g.dist) == set(g.nodes)
+    g = build_component(simple_module(a3, 2), 0)
+    assert list(g.nodes) == ["triv(2)"] and not g.edges and not g.tau_edges
+
+
 def test_component_of_p1(a3):
     g = build_component(projective_string(a3, 1), 6)
     assert g.kind == "PI"

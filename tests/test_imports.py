@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+module imports another module's private (underscored) names.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  `__init__.py` is skipped: its imports are the exports.
@@ -28,6 +29,17 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported(tree)) - used) == []
+
+
+def _private_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("strandbox")):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module_boundary(path):
+    assert sorted(_private_imports(ast.parse(path.read_text()))) == []
 
 
 def test_the_check_sees_every_module():

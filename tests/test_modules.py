@@ -93,11 +93,15 @@ def test_band_rank_formula():
 
 
 def test_projective_dims_match_path_oracle():
-    for n in (3, 4):
+    """dim P_i counts the paths out of i; dim I_i counts the paths into i,
+    which are the paths out of i in the opposite quiver."""
+    for n in (3, 4, 5):
         for orient in all_orientations(n):
             p = build_type_C_algebra(n, orient)
+            q = build_type_C_algebra(n, orient.translate(str.maketrans("RL", "LR")))
             for i in p.vertices:
                 assert dim_vector(projective_string(p, i)) == path_basis_dims(p, i)
+                assert dim_vector(injective_string(p, i)) == path_basis_dims(q, i)
 
 
 def test_projective_injective_examples(a3, a4):
