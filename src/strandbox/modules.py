@@ -4,8 +4,14 @@ A module reference is a canonical string word, a band-module class (band +
 simple parameter polynomial + tube level), or the zero module.  Explicit
 representations are built over a field given by its characteristic (0 for
 the rationals, the default, or a prime p), with every arrow a sparse matrix
-of plain int entries, so Hom dimensions come out of exact kernel
-computations.
+of plain int entries.
+
+Hom between two string modules is counted by graph maps (Crawley-Boevey,
+"Maps between representations of zero-relation algebras", J. Algebra 126,
+1989) and does not depend on the field.  Whenever a band module is
+involved, it is the kernel dimension of the sparse intertwiner system of
+`hom_dim` between the two representations, which also stays the oracle of
+the count.
 
 Ext^1 is computed for locally free modules only, through the homological
 identity  hom(X,Y) - ext1(X,Y) = <rank X, rank Y>  with the
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, product
 
 from . import roots
 from .algebra import loop_arrows
@@ -94,17 +101,25 @@ def simple_module(p, vertex):
     return StringModule(trivial_word(p, vertex))
 
 
-def canonical_simple_param(s):
-    """A degree-s monic polynomial with nonzero constant term (T-1, or T^s-2).
+def canonical_simple_param(s, char=0):
+    """A degree-s monic irreducible polynomial with nonzero constant term over
+    the field of characteristic `char`, ascending coefficients.
 
-    Irreducible over the rationals (T^s-2 by Eisenstein at 2).  Over GF(p) it
-    may be reducible, and `build_representation` rejects it there.
+    T-1 for s = 1 over every field.  Over the rationals T^s-2 (irreducible
+    by Eisenstein at 2).  Over GF(p) the first irreducible in the order of
+    the largest coefficient, then c_0, c_1, ..., each in 0..p-1: small
+    coefficients come first, so the search stays short for any p.
     """
     if s < 1:
         raise DomainError("parameter degree must be >= 1")
     if s == 1:
         return (-1, 1)
-    return (-2,) + (0,) * (s - 1) + (1,)
+    if not char:
+        return (-2,) + (0,) * (s - 1) + (1,)
+    for top in count(1):  # every degree has an irreducible over GF(p), so this stops by p - 1
+        for tail in product(range(top + 1), repeat=s):
+            if tail[0] and max(tail) == top and is_irreducible_mod(tail + (1,), char):
+                return tail + (1,)
 
 
 def band_module(b, param=None, level=1):
@@ -290,7 +305,47 @@ def hom_dim(x: Representation, y: Representation):
     return total - mat_rank(rows, x.char)
 
 
+@lru_cache(maxsize=64)
+def _substring_tallies(w):
+    """(factor tally, image tally) of the string w.
+
+    Walk positions i..j of w = c_1...c_m span a factor substring when the
+    letter left of them, if any, is direct and the letter right of them, if
+    any, is inverse (a direct letter c_k maps position k+1 to k, as in
+    `build_representation`), and an image substring under the opposite
+    conditions.  A trivial substring is keyed by its vertex, a nontrivial one
+    by its letters; the image tally also holds each substring's inverse, so
+    D and D^-1 meet in one lookup."""
+    letters, walk, m = w.letters, w.walk(), len(w)
+    inverse = tuple(c.inverse for c in reversed(letters))
+    factor, image = {}, {}
+    for i in range(m + 1):
+        left = letters[i - 1].sign if i else 0
+        for j in range(i, m + 1):
+            right = letters[j].sign if j < m else 0
+            if left >= 0 and right <= 0:
+                key = letters[i:j] if j > i else walk[i]
+                factor[key] = factor.get(key, 0) + 1
+            if left <= 0 and right >= 0:
+                keys = (letters[i:j], inverse[m - j:m - i]) if j > i else (walk[i],)
+                for key in keys:
+                    image[key] = image.get(key, 0) + 1
+    return factor, image
+
+
 def hom_dim_modules(x, y, char=0):
+    """dim Hom(x, y) over the field of characteristic `char`.
+
+    For two string modules M(v), M(w) it counts graph maps (Crawley-Boevey,
+    "Maps between representations of zero-relation algebras", J. Algebra 126,
+    1989): pairs of a factor substring of v and an image substring of w equal
+    up to inversion.  Whenever a band module is involved it is `hom_dim` of
+    the two representations."""
+    if isinstance(x, StringModule) and isinstance(y, StringModule):
+        if x.word.presentation != y.word.presentation:
+            raise DomainError("hom between modules over different presentations")
+        factor, image = _substring_tallies(x.word)[0], _substring_tallies(y.word)[1]
+        return sum(count * image.get(key, 0) for key, count in factor.items())
     return hom_dim(build_representation(x, char), build_representation(y, char))
 
 

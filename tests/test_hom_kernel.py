@@ -1,12 +1,16 @@
-"""The sparse Hom kernel against the dense oracle.
+"""The Hom kernels against their oracles.
 
-`modules.hom_dim` builds the intertwiner system as sparse rows and
-`linalg.mat_rank` eliminates them over plain ints, fraction-free over Q and
-mod p over GF(p).  The oracle (`oracles.dense_hom_dim`, `oracles.dense_rank`)
-writes the same system as dense rows and eliminates column by column, over
-Fractions for Q and ints mod p for GF(p).  The two are compared on every
-pair of string modules of length <= 6, on band modules, and on random sparse
-rows.
+`modules.hom_dim_modules` counts graph maps between two string modules and
+hands any pair with a band module to `modules.hom_dim`.  That sparse kernel
+builds the intertwiner system as sparse rows and `linalg.mat_rank`
+eliminates them over plain ints, fraction-free over Q and mod p over GF(p);
+it is the oracle of the graph-map count, compared on every pair of string
+modules of length <= 6, on presentations outside the C-tilde family and on
+every pair of string witnesses up to bound 10.  The oracle of the sparse
+kernel (`oracles.dense_hom_dim`, `oracles.dense_rank`) writes the same
+system as dense rows and eliminates column by column, over Fractions for Q
+and ints mod p for GF(p).  The two are compared on every pair of string
+modules of length <= 6, on band modules, and on random sparse rows.
 """
 
 import itertools
@@ -17,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandbox import (
+    DomainError,
+    StringModule,
     band_module,
     build_representation,
     build_type_C_algebra,
@@ -24,13 +30,17 @@ from strandbox import (
     enumerate_bands,
     enumerate_strings,
     hom_dim,
+    hom_dim_modules,
     string_module,
+    tau_locally_free_rank_vectors,
 )
 from strandbox.linalg import echelon, field_value, is_irreducible_mod, mat_rank, scalar_from_spec
 from strandbox.modules import Representation
 
 from conftest import all_orientations
 from oracles import dense_hom_dim, dense_rank
+from test_fast_paths import KRONECKER
+from test_word_kernel import linear_a4_with_a_cubic_relation
 
 FIELDS = ("rat", "fp:2", "fp:101")
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -45,6 +55,65 @@ def test_hom_of_every_pair_of_short_strings_matches_the_dense_oracle(n, orientat
     assert 48 <= len(reps) <= 52
     for x, y in itertools.product(reps, repeat=2):
         assert hom_dim(x, y) == dense_hom_dim(x, y)
+
+
+def _assert_graph_maps_match_the_sparse_kernel(mods, char):
+    reps = {m: build_representation(m, char) for m in mods}
+    for x, y in itertools.product(mods, repeat=2):
+        assert hom_dim_modules(x, y, char) == hom_dim(reps[x], reps[y]), (x, y)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n, orientation", [(n, o) for n in (3, 4) for o in all_orientations(n)])
+def test_graph_maps_of_every_pair_of_short_strings_match_the_sparse_kernel(n, orientation, field):
+    p = build_type_C_algebra(n, orientation)
+    mods = [string_module(w) for w in enumerate_strings(p, 6)]
+    _assert_graph_maps_match_the_sparse_kernel(mods, scalar_from_spec(field))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("p", [KRONECKER, linear_a4_with_a_cubic_relation()],
+                         ids=["kronecker", "a4-cubic"])
+def test_graph_maps_match_the_sparse_kernel_outside_the_ctilde_family(p, field):
+    mods = [string_module(w) for w in enumerate_strings(p, 6)]
+    assert len(mods) > 4 + len(p.vertices)
+    _assert_graph_maps_match_the_sparse_kernel(mods, scalar_from_spec(field))
+
+
+@pytest.mark.parametrize("n, orientation", [(3, "RR"), (3, "LR"), (4, "RRL"), (4, "LLR")])
+def test_graph_maps_of_string_witnesses_match_the_sparse_kernel(n, orientation):
+    p = build_type_C_algebra(n, orientation)
+    mods = [w.module for ws in tau_locally_free_rank_vectors(p, 10).values() for w in ws
+            if isinstance(w.module, StringModule)]
+    assert len(mods) >= 25
+    _assert_graph_maps_match_the_sparse_kernel(mods, scalar_from_spec("fp:101"))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_pair_with_a_band_module_keeps_the_sparse_kernel(field):
+    p = build_type_C_algebra(3, "RR")
+    char = scalar_from_spec(field)
+    band = band_module(enumerate_bands(p, 1)[0], level=2)
+    strings = [string_module(w) for w in enumerate_strings(p, 4)]
+    rb = build_representation(band, char)
+    assert hom_dim_modules(band, band, char) == hom_dim(rb, rb) == dense_hom_dim(rb, rb)
+    for m in strings:
+        rm = build_representation(m, char)
+        assert hom_dim_modules(m, band, char) == hom_dim(rm, rb) == dense_hom_dim(rm, rb)
+        assert hom_dim_modules(band, m, char) == hom_dim(rb, rm) == dense_hom_dim(rb, rm)
+    assert any(hom_dim_modules(m, band, char) for m in strings)
+    assert any(hom_dim_modules(band, m, char) for m in strings)
+
+
+def test_graph_maps_between_presentations_are_refused_as_by_the_sparse_kernel():
+    x = string_module(enumerate_strings(build_type_C_algebra(3, "RR"), 1)[-1])
+    y = string_module(enumerate_strings(build_type_C_algebra(3, "LR"), 1)[-1])
+    with pytest.raises(DomainError) as sparse:
+        hom_dim(build_representation(x), build_representation(y))
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DomainError) as graph:
+            hom_dim_modules(a, b)
+        assert str(graph.value) == str(sparse.value)
 
 
 def _band_modules(p, field):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,7 +34,17 @@ from strandbox import (
     soc_quotient_decomposition,
     string_module,
 )
-from strandbox import BandModuleClass, Band, Representation, delta_length, hom_dim
+from strandbox import (
+    BandModuleClass,
+    Band,
+    Representation,
+    StringModule,
+    ZERO,
+    delta_length,
+    hom_dim,
+    tau,
+    tau_locally_free_rank_vectors,
+)
 from strandbox.algebra import arrow_named
 from strandbox.linalg import is_irreducible_mod, scalar_from_spec
 from strandbox.modules import module_from_json, module_to_json, relations_vanish
@@ -225,6 +236,41 @@ def test_band_parameter_reducible_in_the_field_is_rejected(a3):
     with pytest.raises(DomainError, match=r"\(-2, 0, 1\).*reducible over GF\(7\)"):
         hom_dim_modules(m, m, scalar_from_spec("fp:7"))
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
+
+
+@pytest.mark.parametrize("field", ["fp:2", "fp:7", "fp:101"])
+def test_band_parameter_of_a_prime_field_is_irreducible_there(a3, field):
+    # T^2 - 2 is rejected over GF(2) and GF(7) (above); the parameter chosen
+    # for the field gives a degree-2 band module with the End of the one over Q
+    char = scalar_from_spec(field)
+    assert canonical_simple_param(1, char) == canonical_simple_param(1) == (-1, 1)
+    band = parse_band(a3, W2)
+    over_q = band_module(band, canonical_simple_param(2))
+    for s in (2, 3, 4):
+        param = canonical_simple_param(s, char)
+        assert len(param) == s + 1 and param[-1] == 1 and 0 < param[0] < char
+        assert all(0 <= c < char for c in param) and is_irreducible_mod(param, char)
+    m = band_module(band, canonical_simple_param(2, char))
+    assert hom_dim_modules(m, m, char) == hom_dim_modules(over_q, over_q) == 2
+
+
+@pytest.mark.parametrize("n, orientation", [(3, "RR"), (3, "LR"), (4, "RRL"), (4, "LLR")])
+def test_ext1_of_witnesses_agrees_with_the_auslander_reiten_formula(n, orientation):
+    # locally free modules have projective dimension <= 1 (Geiss-Leclerc-
+    # Schroer 2017), so Ext^1(M, N) = D Hom(N, tau M), independently of the
+    # Ringel form that `ext1_dim_locally_free` subtracts
+    p = build_type_C_algebra(n, orientation)
+    char = scalar_from_spec("fp:101")
+    cd = cartan(n)
+    mods = [w.module for ws in tau_locally_free_rank_vectors(p, 10).values() for w in ws]
+    assert len(mods) >= 34 and not all(isinstance(m, StringModule) for m in mods)
+    ranks = {m: rank_vector(m) for m in mods}
+    taus = {m: tau(m) for m in mods}
+    for x, y in itertools.product(mods, repeat=2):
+        ar = 0 if taus[x] is ZERO else hom_dim_modules(y, taus[x], char)
+        pairing = ringel_form(cd, p.orientation, ranks[x], ranks[y])
+        assert hom_dim_modules(x, y, char) - ar == pairing, (x, y)
+        assert ext1_dim_locally_free(x, y, char) == ar, (x, y)
 
 
 def test_module_text_and_json_round_trip(a3):
