@@ -17,6 +17,14 @@ and one of sign +1 gives tau M(w) = M(ray(c^-1)).  A trivial word takes the
 letter whose side at its target is its tag.  Sides 2-colour the letters:
 two distinct letters c, d ending at one vertex have opposite sides exactly
 when d^-1.c is a string.
+
+Each side step is one lookup in a table of ends and one tuple splice; no
+word is inverted.  Per presentation, the right end maps (end letter e,
+sign s) to the tails c.ray(c) of the letters c of sign s that may follow e
+(read off the successor table of `strings`), and to those tails that end
+in e, which a deletion compares with the end of w.  The left end is the
+right end with every tail inverted, keyed by the inverse of w's first
+letter: the last letter of w^-1.
 """
 
 from __future__ import annotations
@@ -25,7 +33,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 
-from .algebra import arrow_key, arrows_by_source, arrows_by_target, is_ctilde, spine_arrows
+from .algebra import (
+    arrow_key,
+    arrows_by_source,
+    arrows_by_target,
+    is_ctilde,
+    relation_lengths,
+    spine_arrows,
+)
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
 from .modules import (
     ZERO,
@@ -48,10 +63,12 @@ from .modules import (
 from .strings import (
     Letter,
     StringWord,
+    can_append,
     enumerate_strings,
     format_word,
     maximal_append,
     raw_extensions,
+    successors,
     trivial_word,
     word,
     word_sort_key,
@@ -128,52 +145,103 @@ def extendable(w: StringWord, sign):
 # hooks and cohooks
 # ---------------------------------------------------------------------------
 
-def _right_letter(w: StringWord, sign):
-    """The unique letter of the given sign that w takes on the right, or None."""
-    side = _rays(w.presentation).side
-    cand = [c for c in raw_extensions(w, sign) if w.letters or side[c] == w.tag]
-    if len(cand) > 1:
+@dataclass(frozen=True)
+class _Tail:
+    """The tail c.ray(c) of a letter c, as one end of a word holds it."""
+
+    letter: Letter  # c
+    letters: tuple  # c.ray(c) at the right end, its inverse at the left end
+    tag: int  # the tag of a trivial word at this end that takes c, and of one the tail leaves
+
+
+@dataclass(frozen=True)
+class _End:
+    """The tails at one end of the letter tuple, keyed by (end letter, sign):
+    w's last letter on the right, the inverse of its first on the left."""
+
+    left: bool
+    adds: dict  # (e, s) -> tails of the letters c of sign s with e.c a string
+    deletes: dict  # (e, s) -> tails of the letters c of sign s whose c.ray(c) ends in e
+    tails: dict  # letter c -> its tail
+    checked: bool  # relations longer than 2: an added letter must still pass can_append
+
+
+@lru_cache(maxsize=None)
+def _ends(p):
+    """The right and the left end of p; the left is the right inverted."""
+    rays = _rays(p)
+    right = {c: _Tail(c, (c,) + r.letters, rays.side[c]) for c, r in rays.ray.items()}
+    left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag)
+            for c, t in right.items()}
+    checked = any(k != 2 for k in relation_lengths(p))
+    nexts = successors(p)
+
+    def end(is_left, tails):
+        adds, deletes = {}, {}
+        for e, cs in nexts.items():
+            for c in cs:
+                adds.setdefault((e, c.sign), []).append(tails[c])
+        for c, t in right.items():
+            deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
+        return _End(is_left, adds, deletes, tails, checked)
+
+    return end(False, right), end(True, left)
+
+
+def _add(end, w, sign):
+    """w with the tail c.ray(c) of the one letter c of the given sign that w
+    takes at this end (+1 adds a hook, -1 a cohook); None when it takes none."""
+    letters = w.letters
+    if letters:
+        tails = end.adds.get((letters[0].inverse if end.left else letters[-1], sign), ())
+        if end.checked:
+            reading = w.inverse.letters if end.left else letters
+            tails = [t for t in tails if can_append(w.presentation, reading, t.letter)]
+    else:
+        tails = [t for t in map(end.tails.get, raw_extensions(w, sign)) if t.tag == w.tag]
+    if len(tails) > 1:
         raise InternalCheckError("ambiguous side extension")
-    return cand[0] if cand else None
+    if not tails:
+        return None
+    tail = tails[0].letters
+    return StringWord(w.presentation, tail + letters if end.left else letters + tail)
+
+
+def _delete(end, w, sign):
+    """w without a full tail c.ray(c), c of the given sign, at this end (+1
+    deletes a hook, -1 a cohook); None when w does not end so."""
+    letters = w.letters
+    if not letters:
+        return None
+    for t in end.deletes.get((letters[0].inverse if end.left else letters[-1], sign), ()):
+        k = len(t.letters)
+        if (letters[:k] if end.left else letters[-k:]) == t.letters:
+            rest = letters[k:] if end.left else letters[:-k]
+            return StringWord(w.presentation, rest) if rest else \
+                StringWord(w.presentation, (), t.letter.target, t.tag)
+    return None
 
 
 def add_right(w, sign):
     """w.c.ray(c) for the right letter c of the given sign (+1 adds a hook,
     -1 a cohook); None when w takes no such letter."""
-    c = _right_letter(w, sign)
-    if c is None:
-        return None
-    return word(w.presentation, w.letters + (c,) + ray(w.presentation, c).letters)
+    return _add(_ends(w.presentation)[0], w, sign)
 
 
 def delete_right(w, sign):
     """Strip a full tail c.ray(c) with c of the given sign (+1 deletes a
     hook, -1 a cohook); None when w does not end so."""
-    k = next((i for i in reversed(range(len(w))) if w.letters[i].sign == sign), None)
-    if k is None:
-        return None
-    p, c = w.presentation, w.letters[k]
-    rays = _rays(p)
-    if w.letters[k + 1:] != rays.ray[c].letters:
-        return None
-    if k:
-        return word(p, w.letters[:k])
-    return StringWord(p, (), c.target, rays.side[c])
-
-
-def _on_inverse(fn, w, sign):
-    r = fn(w.inverse, sign)
-    return None if r is None else r.inverse
+    return _delete(_ends(w.presentation)[0], w, sign)
 
 
 def add_left(w, sign):
     """add_right on the inverse word, inverted back."""
-    return _on_inverse(add_right, w, sign)
+    return _add(_ends(w.presentation)[1], w, sign)
 
 
 def delete_left(w, sign):
     """delete_right on the inverse word, inverted back."""
-    return _on_inverse(delete_right, w, sign)
+    return _delete(_ends(w.presentation)[1], w, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +263,18 @@ class ARSequence:
 _KIND = {1: "Hook", -1: "Cohook"}
 
 
-def _step(w, sign):
-    """One side of a translation, on the right of w: add with the given sign
-    where possible, else delete with the other.  Returns the sign operated
-    on and the new word.  (Never both apply: a tail c.ray(c) takes no letter
-    of sign -c.sign.)"""
-    v = add_right(w, sign)
+def _step(end, w, sign):
+    """One side of a translation, at the given end of w: add with the given
+    sign where possible, else delete with the other.  Returns the sign
+    operated on and the new word.  (Never both apply: a tail c.ray(c) takes
+    no letter of sign -c.sign.)"""
+    v = _add(end, w, sign)
     if v is not None:
         return sign, v
-    v = delete_right(w, -sign)
+    v = _delete(end, w, -sign)
     if v is None:
         raise InternalCheckError(f"no side operation for {format_word(w)}")
     return -sign, v
-
-
-def _step_left(w, sign):
-    s, v = _step(w.inverse, sign)
-    return s, v.inverse
 
 
 def _ray_letters(w, sign):
@@ -238,16 +301,17 @@ def ar_sequence_starting_at(m):
         return None
     w = m.word
     p = w.presentation
+    right_end, left_end = _ends(p)
     matches = _ray_letters(w, -1)
     if matches:
         # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
-        mid, right = _only({(string_module(add_right(ray(p, c).inverse, 1)),
+        mid, right = _only({(string_module(_add(left_end, ray(p, c), 1)),
                              string_module(ray(p, c.inverse))) for c in matches},
                            "indecomposable-middle sequence", w)
         return ARSequence(m, (mid,), right, "IndecMiddle")
-    rsign, right = _step(w, 1)
-    lsign, left = _step_left(w, 1)
-    both = _step_left(right, 1)[1]
+    rsign, right = _step(right_end, w, 1)
+    lsign, left = _step(left_end, w, 1)
+    both = _step(left_end, right, 1)[1]
     middle = (string_module(left), string_module(right))
     return ARSequence(m, middle, string_module(both), _KIND[lsign] + _KIND[rsign])
 
@@ -259,8 +323,9 @@ def _translate(m, sign, what):
     matches = _ray_letters(w, -sign)
     if matches:
         return _only({string_module(ray(w.presentation, c.inverse)) for c in matches}, what, w)
-    _, right = _step(w, sign)
-    return string_module(_step_left(right, sign)[1])
+    right_end, left_end = _ends(w.presentation)
+    _, right = _step(right_end, w, sign)
+    return string_module(_step(left_end, right, sign)[1])
 
 
 def tau_inv(m):

@@ -21,6 +21,7 @@ orientation-dependent bilinear form from `roots`.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
@@ -172,25 +173,32 @@ def _loop_letters(p):
             for v in sorted({a.source for a in loops})}
 
 
-def _locally_free(p, letters, walk):
-    return all(2 * sum(map(letters.count, loops)) == walk.count(v)
-               for v, loops in _loop_letters(p).items())
+def _free_ranks(p, letters, walk):
+    """The walk's visits per vertex, halved at the loop vertices; None unless
+    every visit of a loop vertex is paired by a loop edge (local freeness).
+    The walk and the letters are each counted once, for both answers."""
+    visits, uses = Counter(walk), Counter(letters)
+    loops = _loop_letters(p)
+    if any(2 * sum(map(uses.__getitem__, ls)) != visits[v] for v, ls in loops.items()):
+        return None
+    return tuple(visits[i] // 2 if i in loops else visits[i] for i in p.vertices)
 
 
 def is_locally_free(m):
     """e_iM free over H_i for all i: at a loop vertex the loop must act as a
     square-zero map of rank dim_i/2, i.e. every visit is paired by a loop edge."""
     p, letters, walk, _ = _walk_data(m)
-    return _locally_free(p, letters, walk)
+    return _free_ranks(p, letters, walk) is not None
 
 
 def rank_vector(m):
-    """Free ranks r_i: halve dimensions at the loop vertices."""
+    """Free ranks r_i: halve dimensions at the loop vertices.  Raises
+    NotLocallyFree exactly when `is_locally_free` is False."""
     p, letters, walk, d = _walk_data(m)
-    if not _locally_free(p, letters, walk):
+    ranks = _free_ranks(p, letters, walk)
+    if ranks is None:
         raise NotLocallyFree(f"{m!r} is not locally free")
-    loops = _loop_letters(p)
-    return tuple(d * walk.count(i) // (2 if i in loops else 1) for i in p.vertices)
+    return ranks if d == 1 else tuple(d * r for r in ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ Letters are interned: ``Letter(a, s)`` is one shared instance per
 letters compare and hash by identity.  Validity is checked against one
 table per presentation (`_kernel`): the set of letter pairs that may stand
 next to each other (composable, not backtracking, not a length-2 relation
-or its inverse).  Relations of any other length keep the general window
-check.
+or its inverse), and the same pairs as a successor table, letter -> the
+letters that may follow it.  Relations of any other length keep the general
+window check.
 
 Words are checked once, where they enter the program: `Letter`,
 `trivial_word`, `string_word`, `parse_word` and `parse_band` validate; `word`,
@@ -193,6 +194,7 @@ class _Kernel:
     letters: frozenset  # every letter of the presentation
     pairs: frozenset  # (c, d) such that c.d is a string
     ending_at: dict  # vertex -> letters with that target: direct, then inverse
+    successors: dict  # letter c -> the letters d with (c, d) in pairs, in ending_at order
     relations: frozenset
     long_lengths: tuple  # relation lengths other than 2, for the window check
 
@@ -208,8 +210,16 @@ def _kernel(p: Presentation):
         and not _window_forbidden(relations, (c, d))
     )
     ending_at = {u: tuple(c for c in ordered if c.target == u) for u in p.vertices}
+    successors = {c: tuple(d for d in ending_at[c.source] if (c, d) in pairs) for c in ordered}
     long_lengths = tuple(k for k in relation_lengths(p) if k != 2)
-    return _Kernel(frozenset(ordered), pairs, ending_at, relations, long_lengths)
+    return _Kernel(frozenset(ordered), pairs, ending_at, successors, relations, long_lengths)
+
+
+def successors(p):
+    """Letter c -> the letters d such that c.d is a string, in `ending_at`
+    order.  A relation longer than 2 can still forbid d after a longer word;
+    `can_append` decides that."""
+    return _kernel(p).successors
 
 
 def _letters_valid(k: _Kernel, letters):
@@ -259,10 +269,13 @@ _EXTENSION_CAP = 512  # guards against non-finite-dimensional input
 
 def raw_extensions(w: StringWord, sign=None):
     """All letters c (of the given sign, if one is given) with w.c a string;
-    no side bookkeeping."""
-    p = w.presentation
-    return [c for c in _kernel(p).ending_at[w.source]
-            if sign in (None, c.sign) and can_append(p, w.letters, c)]
+    no side bookkeeping.  A nontrivial word reads the successors of its last
+    letter."""
+    p, letters = w.presentation, w.letters
+    k = _kernel(p)
+    cands = k.successors[letters[-1]] if letters else k.ending_at[w.base]
+    return [c for c in cands if sign in (None, c.sign)
+            and (not k.long_lengths or can_append(p, letters, c))]
 
 
 def maximal_append(p, letters, sign):

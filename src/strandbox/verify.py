@@ -18,7 +18,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .artrans import tau, tau_inv, tube_bottom, tube_rows
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, NotLocallyFree
 from .modules import (
     ZERO,
     band_module,
@@ -141,14 +141,18 @@ class GLSReport:
 def _orbit(m, step):
     """(module, rank vector) along the orbit of m; each must be locally free."""
     while m is not ZERO:
-        if not is_locally_free(m):
-            raise InternalCheckError(f"tau-orbit module {format_module(m)} is not locally free")
-        yield m, rank_vector(m)
+        try:
+            rv = rank_vector(m)
+        except NotLocallyFree:
+            raise InternalCheckError(f"tau-orbit module {format_module(m)} "
+                                     f"is not locally free") from None
+        yield m, rv
         m = step(m)
 
 
 def _orbit_witnesses(cd, start, step, back, bound):
-    """(r, step^r(start)) for the modules of height <= bound on the orbit.
+    """(r, step^r(start), its rank vector) for the modules of height <= bound
+    on the orbit.
 
     The orbit is walked once, through the stopping rule of `bounded_orbit`
     and on to WINDOW - 1 steps past the last module returned, and `back`
@@ -167,7 +171,7 @@ def _orbit_witnesses(cd, start, step, back, bound):
         if back(m) != prev:
             raise InternalCheckError(f"tau-orbit step {format_module(prev)} -> "
                                      f"{format_module(m)} is not retraced")
-    return [(r, modules[r]) for r in inside]
+    return [(r, *walked[r]) for r in inside]
 
 
 def tau_locally_free_rank_vectors(p, bound):
@@ -180,14 +184,14 @@ def tau_locally_free_rank_vectors(p, bound):
     cd = cartan(p.n)
     witnesses = {}
 
-    def add(w):
-        witnesses.setdefault(rank_vector(w.module), []).append(w)
+    def add(w, rv):
+        witnesses.setdefault(rv, []).append(w)
 
     for i in p.vertices:
-        for r, m in _orbit_witnesses(cd, projective_string(p, i), tau_inv, tau, bound):
-            add(Witness("preprojective", m, vertex=i, step=r))
-        for s, m in _orbit_witnesses(cd, injective_string(p, i), tau, tau_inv, bound):
-            add(Witness("preinjective", m, vertex=i, step=s))
+        for r, m, rv in _orbit_witnesses(cd, projective_string(p, i), tau_inv, tau, bound):
+            add(Witness("preprojective", m, vertex=i, step=r), rv)
+        for s, m, rv in _orbit_witnesses(cd, injective_string(p, i), tau, tau_inv, bound):
+            add(Witness("preinjective", m, vertex=i, step=s), rv)
     if bound >= 1:
         for level, row in enumerate(tube_rows(p), start=1):
             members = set(row)
@@ -200,7 +204,7 @@ def tau_locally_free_rank_vectors(p, bound):
                 break
             for pos, (m, rv) in enumerate(zip(row, ranks)):
                 if height(rv) <= bound:
-                    add(Witness("tube", m, level=level, position=pos))
+                    add(Witness("tube", m, level=level, position=pos), rv)
     ht_delta = height(delta(cd))
     max_dl = bound // ht_delta
     if max_dl >= 1:
@@ -214,7 +218,7 @@ def tau_locally_free_rank_vectors(p, bound):
                     if not is_locally_free(m) or tau(m) != m:
                         raise InternalCheckError(f"band module {format_module(m)} is not "
                                                  f"tau-locally free")
-                    add(Witness("band", m, level=level))
+                    add(Witness("band", m, level=level), rank_vector(m))
                     level += 1
                 s += 1
     return witnesses

@@ -10,17 +10,28 @@ written out as dense rows and eliminated column by column, over Fractions
 for Q, so that it shares no arithmetic with the library's fraction-free
 integer elimination, and over ints mod p for GF(p).
 
-The last four oracles are the library's earlier implementations of paths it
-now takes faster: canonical forms as a `min` over every candidate word, tau^-1
-read off the whole AR-sequence, and local freeness counted by a generator per
-loop vertex.
+The last oracles are the library's earlier implementations of paths it now
+takes faster: canonical forms as a `min` over every candidate word, tau^-1
+read off the whole AR-sequence, local freeness counted by a generator per
+loop vertex, and the hook and cohook steps taken on the right end only, the
+left end being the right end of the inverse word.
 """
 
 from fractions import Fraction
 
-from strandbox import ZERO, BandModuleClass, is_locally_free, tau, tau_inv
-from strandbox.artrans import ar_sequence_starting_at
-from strandbox.strings import Band, StringWord, word_sort_key
+from strandbox import (
+    ZERO,
+    BandModuleClass,
+    is_injective,
+    is_locally_free,
+    is_projective,
+    string_module,
+    tau,
+    tau_inv,
+)
+from strandbox.artrans import _rays, ar_sequence_starting_at, ray
+from strandbox.errors import InternalCheckError
+from strandbox.strings import Band, Letter, StringWord, can_append, word, word_sort_key
 
 
 def _arrow_maps(p):
@@ -274,3 +285,72 @@ def is_locally_free_by_generator(m):
         if 2 * loops != walk.count(v):
             return False
     return True
+
+
+def _letters(p):
+    return [Letter(a, s) for a in p.arrows for s in (1, -1)]
+
+
+def add_right_by_inversion(w, sign):
+    """w.c.ray(c) for the one letter c of the given sign with w.c a string
+    (a trivial word: the one whose side is its tag), tested letter by letter
+    with `can_append`; None when there is none."""
+    p = w.presentation
+    side = _rays(p).side
+    cand = [c for c in _letters(p) if c.sign == sign and c.target == w.source
+            and can_append(p, w.letters, c) and (w.letters or side[c] == w.tag)]
+    if len(cand) > 1:
+        raise InternalCheckError("ambiguous side extension")
+    return word(p, w.letters + (cand[0],) + ray(p, cand[0]).letters) if cand else None
+
+
+def delete_right_by_inversion(w, sign):
+    """w without its tail c.ray(c), c its last letter of the given sign;
+    None when w does not end so."""
+    k = next((i for i in reversed(range(len(w))) if w.letters[i].sign == sign), None)
+    if k is None:
+        return None
+    p, c = w.presentation, w.letters[k]
+    if w.letters[k + 1:] != ray(p, c).letters:
+        return None
+    return word(p, w.letters[:k]) if k else StringWord(p, (), c.target, _rays(p).side[c])
+
+
+def _inverted(fn):
+    def on_the_left(w, sign):
+        v = fn(w.inverse, sign)
+        return None if v is None else v.inverse
+    on_the_left.__name__ = fn.__name__.replace("right", "left")
+    return on_the_left
+
+
+add_left_by_inversion = _inverted(add_right_by_inversion)
+delete_left_by_inversion = _inverted(delete_right_by_inversion)
+
+
+def _step_by_inversion(w, sign):
+    v = add_right_by_inversion(w, sign)
+    v = delete_right_by_inversion(w, -sign) if v is None else v
+    if v is None:
+        raise InternalCheckError("no side operation")
+    return v
+
+
+def translate_by_inversion(m, sign):
+    """tau^-1 (sign +1) or tau (sign -1) of a module: the ray class
+    M(w) = M(ray(c)) by its letters c of sign -sign, else one step on the
+    right, then one on the right of the inverse."""
+    if isinstance(m, BandModuleClass):
+        return m
+    if (is_injective if sign > 0 else is_projective)(m):
+        return ZERO
+    w = m.word
+    p = w.presentation
+    images = {string_module(ray(p, c.inverse)) for c in _letters(p)
+              if c.sign == -sign and ray(p, c) in (w, w.inverse)}
+    if images:
+        if len(images) > 1:
+            raise InternalCheckError("ambiguous ray class")
+        return images.pop()
+    right = _step_by_inversion(w, sign)
+    return string_module(_step_by_inversion(right.inverse, sign).inverse)

@@ -1,9 +1,12 @@
 """The fast word and translation paths against their former implementations.
 
-`canonical_string`, `canonical_band`, `tau_inv` and `is_locally_free` are
-compared with the slow oracles in `oracles.py` on every orientation with
-n = 3, 4, 5 and on the Kronecker quiver, whose two parallel arrows tie in
-every letter order that does not look at arrow names.
+`canonical_string`, `canonical_band`, `tau_inv`, `is_locally_free` and
+`rank_vector` are compared with the slow oracles in `oracles.py` on every
+orientation with n = 3, 4, 5 and on the Kronecker quiver, whose two parallel
+arrows tie in every letter order that does not look at arrow names.  The
+hook and cohook steps at both ends, `tau` and `tau_inv` are also compared
+on a linear A_4 with a relation of length 3, where an added letter must pass
+the window check.
 """
 
 import itertools
@@ -14,31 +17,43 @@ from strandbox import (
     ZERO,
     Arrow,
     Presentation,
+    add_left,
+    add_right,
     band_module,
     build_type_C_algebra,
     canonical_band,
     canonical_string,
+    delete_left,
+    delete_right,
     enumerate_bands,
     enumerate_strings,
     is_locally_free,
     parse_band,
+    rank_vector,
     string_module,
+    tau,
     tau_inv,
     validate_string_algebra,
 )
 from strandbox import artrans
 from strandbox.algebra import arrow_named
-from strandbox.errors import InternalCheckError
+from strandbox.errors import InternalCheckError, NotLocallyFree
 from strandbox.strings import Band, Letter, string_word, trivial_word, word
 
 from oracles import (
+    add_left_by_inversion,
+    add_right_by_inversion,
     canonical_band_by_min,
     canonical_string_by_min,
+    delete_left_by_inversion,
+    delete_right_by_inversion,
     is_locally_free_by_generator,
     raw_string_class_count,
     raw_string_classes,
     tau_inv_by_ar_sequence,
+    translate_by_inversion,
 )
+from test_word_kernel import linear_a4_with_a_cubic_relation
 
 CTILDE = [
     build_type_C_algebra(n, "".join(bits))
@@ -47,10 +62,13 @@ CTILDE = [
 ]
 KRONECKER = Presentation(n=2, arrows=(Arrow("a", 1, 2), Arrow("b", 1, 2)), relations=())
 ALL = CTILDE + [KRONECKER]
+A4 = linear_a4_with_a_cubic_relation()
 
 
 def ids(p):
-    return "kronecker" if p is KRONECKER else f"n{p.n}-{''.join(p.orientation)}"
+    if p is KRONECKER:
+        return "kronecker"
+    return "a4-cubic" if p is A4 else f"n{p.n}-{''.join(p.orientation)}"
 
 
 def all_strings(p, max_len):
@@ -107,9 +125,9 @@ def test_canonical_band_matches_the_min_oracle(p):
             assert canonical_band(r) == canonical_band_by_min(r) == expected, r
 
 
-def _outcome(fn, m):
+def _outcome(fn, *args):
     try:
-        return fn(m)
+        return fn(*args)
     except InternalCheckError as e:
         return type(e)
 
@@ -122,12 +140,43 @@ def test_tau_inv_matches_the_ar_sequence_oracle(p):
         assert _outcome(tau_inv, m) == _outcome(tau_inv_by_ar_sequence, m), m
 
 
+SIDE_STEPS = (
+    (add_right, add_right_by_inversion),
+    (add_left, add_left_by_inversion),
+    (delete_right, delete_right_by_inversion),
+    (delete_left, delete_left_by_inversion),
+)
+
+
+@pytest.mark.parametrize("p", ALL + [A4], ids=ids)
+def test_side_steps_and_translations_match_the_inversion_oracle(p):
+    for w in all_strings(p, 8):
+        for fast, slow in SIDE_STEPS:
+            for sign in (1, -1):
+                assert _outcome(fast, w, sign) == _outcome(slow, w, sign), (fast.__name__, sign, w)
+        m = string_module(w)
+        for fast, sign in ((tau_inv, 1), (tau, -1)):
+            expected = _outcome(translate_by_inversion, m, sign)
+            assert _outcome(fast, m) == expected, (fast.__name__, w)
+
+
+def _has_a_rank_vector(m):
+    try:
+        rank_vector(m)
+    except NotLocallyFree:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("p", ALL, ids=ids)
 def test_is_locally_free_matches_the_generator_oracle(p):
+    """So does rank_vector: it raises NotLocallyFree exactly where the
+    oracle finds a module not locally free."""
     modules = [string_module(w) for w in all_strings(p, 8)]
     modules += [band_module(b) for b in bands(p)]
     for m in modules:
-        assert is_locally_free(m) == is_locally_free_by_generator(m), m
+        free = is_locally_free_by_generator(m)
+        assert is_locally_free(m) == free == _has_a_rank_vector(m), m
 
 
 def test_tau_inv_refuses_an_ambiguous_ray_class(monkeypatch, a3):

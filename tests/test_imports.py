@@ -1,17 +1,21 @@
-"""Every name a package module imports is used in that module, and no
-module imports another module's private (underscored) names.
+"""Every name a package module imports is used in that module, no module
+imports another module's private (underscored) names, and every function
+the benchmark's tracer wraps by name is still defined where it looks.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  `__init__.py` is skipped: its imports are the exports.
+The tracer's table is read from its source; the benchmark is not imported.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "strandbox"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def _imported(tree):
@@ -44,3 +48,25 @@ def test_no_private_name_crosses_a_module_boundary(path):
 
 def test_the_check_sees_every_module():
     assert {p.name for p in MODULES} >= {"strings.py", "modules.py", "artrans.py", "verify.py"}
+
+
+def _tracer_named():
+    """The tracer's NAMED table: layer -> names wrapped in that module."""
+    for node in ast.parse(TRACER.read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["NAMED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no NAMED table")
+
+
+def test_every_function_the_tracer_wraps_by_name_is_defined_in_its_module():
+    named = _tracer_named()
+    assert named
+    missing = []
+    for layer, names in named.items():
+        module = importlib.import_module(f"strandbox.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            if not callable(fn) or fn.__module__ != module.__name__:
+                missing.append(f"{layer}.{name}")
+    assert missing == []

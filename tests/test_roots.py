@@ -20,7 +20,7 @@ from strandbox import (
     ringel_form,
     sym_form,
 )
-from strandbox.roots import reflect_orientation, simple_root
+from strandbox.roots import bounded_orbit, height, reflect_orientation, simple_root
 
 from conftest import all_orientations
 from oracles import reflection_closure_alt
@@ -256,6 +256,19 @@ def test_coxeter_power_n_minus_1_is_a_delta_shift():
                 for power in (n - 1, 1 - n):
                     shift = [a - b for a, b in zip(cox.apply(e, power), e)]
                     assert shift == [shift[0] * d for d in dl], (orient, e, power)
+
+
+def test_bounded_orbit_stops_after_n_minus_1_misses_not_one():
+    """An orbit that climbs by delta every n - 1 = 2 steps, one residue class
+    starting higher: a single miss at (3,3,3) comes before (2,2,1) inside
+    the bound, and only the two misses (4,5,4), (3,4,2) end the walk."""
+    cd = cartan(3)
+    orbit = [(1, 0, 0), (3, 3, 3), (2, 2, 1), (4, 5, 4), (3, 4, 2), (5, 7, 5)]
+    assert delta(cd) == (1, 2, 1)
+    assert [height(x) for x in orbit] == [1, 9, 5, 13, 9, 17]
+    walked = list(bounded_orbit(cd, iter(orbit), 6))
+    assert (2, 2, 1) in walked
+    assert walked == orbit[:5]
 
 
 def test_closed_form_families_disjoint():
