@@ -129,6 +129,17 @@ def poly_pow(a, k):
     return out
 
 
+def gcd_degree(a, b, char=0):
+    """deg gcd(a, b) over the field of characteristic `char`, for polynomials
+    (ascending int coefficients) whose leading coefficients are nonzero
+    there: deg a + deg b - rank of their Sylvester matrix, whose rows are
+    the shifts T^k a (k < deg b) and T^k b (k < deg a)."""
+    da, db = len(a) - 1, len(b) - 1
+    rows = [{k + i: v for i, v in enumerate(f)} for f, shifts in ((a, db), (b, da))
+            for k in range(shifts)]
+    return da + db - mat_rank(rows, char)
+
+
 def _poly_rem(a, b, p):
     """Remainder of a by b over GF(p), trimmed; b has a nonzero leading term."""
     a = [c % p for c in a]

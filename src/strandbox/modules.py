@@ -6,12 +6,14 @@ representations are built over a field given by its characteristic (0 for
 the rationals, the default, or a prime p), with every arrow a sparse matrix
 of plain int entries.
 
-Hom between two string modules is counted by graph maps (Crawley-Boevey,
-"Maps between representations of zero-relation algebras", J. Algebra 126,
-1989) and does not depend on the field.  Whenever a band module is
-involved, it is the kernel dimension of the sparse intertwiner system of
-`hom_dim` between the two representations, which also stays the oracle of
-the count.
+Hom between any two string or band modules is counted by graph maps
+(Crawley-Boevey, J. Algebra 126, 1989; Krause, J. Algebra 137, 1991), and
+no representation is built.  A band module reads as the periodic word of its
+band, with substrings up to a cap (the string's length against a string,
+the sum of the two band lengths between bands), and two band modules of one
+band add the k[T] term deg gcd(f^l, g^k) of their parameter powers; the
+formula is at `hom_dim_modules`.  The sparse intertwiner system of `hom_dim`
+between the two representations stays the oracle of the count.
 
 Ext^1 is computed for locally free modules only, through the homological
 identity  hom(X,Y) - ext1(X,Y) = <rank X, rank Y>  with the
@@ -33,6 +35,7 @@ from .linalg import (
     companion_matrix,
     field_name,
     field_value,
+    gcd_degree,
     is_irreducible_mod,
     mat_rank,
     poly_pow,
@@ -142,23 +145,23 @@ def band_module(b, param=None, level=1):
 # dimension and rank vectors
 # ---------------------------------------------------------------------------
 
-def _walk_data(m):
-    """(presentation, letters, walk, block size) of a nonzero module: one
-    basis block of the block size per walk position, 1 for a string and
-    level * degree for a band class."""
+def _word_data(m):
+    """(word, block size) of a nonzero module: its string word and 1, or its
+    band and level * degree for a band class.  Both kinds of word have
+    `presentation`, `letters` and `walk()`; a module has one basis block of
+    the block size per walk position."""
     if isinstance(m, StringModule):
-        w = m.word
-        return w.presentation, w.letters, w.walk(), 1
+        return m.word, 1
     if isinstance(m, BandModuleClass):
-        b = m.band
-        return b.presentation, b.letters, b.walk(), m.level * m.param_degree
+        return m.band, m.level * m.param_degree
     raise DomainError(f"{m!r} is not a string or band module")
 
 
 def dim_vector(m):
     """Per-vertex dimensions: walk visit counts (scaled for band classes)."""
-    p, _, walk, d = _walk_data(m)
-    return tuple(d * walk.count(i) for i in p.vertices)
+    w, d = _word_data(m)
+    walk = w.walk()
+    return tuple(d * walk.count(i) for i in w.presentation.vertices)
 
 
 def dim_sum(m):
@@ -187,15 +190,15 @@ def _free_ranks(p, letters, walk):
 def is_locally_free(m):
     """e_iM free over H_i for all i: at a loop vertex the loop must act as a
     square-zero map of rank dim_i/2, i.e. every visit is paired by a loop edge."""
-    p, letters, walk, _ = _walk_data(m)
-    return _free_ranks(p, letters, walk) is not None
+    w, _ = _word_data(m)
+    return _free_ranks(w.presentation, w.letters, w.walk()) is not None
 
 
 def rank_vector(m):
     """Free ranks r_i: halve dimensions at the loop vertices.  Raises
     NotLocallyFree exactly when `is_locally_free` is False."""
-    p, letters, walk, d = _walk_data(m)
-    ranks = _free_ranks(p, letters, walk)
+    w, d = _word_data(m)
+    ranks = _free_ranks(w.presentation, w.letters, w.walk())
     if ranks is None:
         raise NotLocallyFree(f"{m!r} is not locally free")
     return ranks if d == 1 else tuple(d * r for r in ranks)
@@ -216,6 +219,18 @@ class Representation:
     char: int = 0
 
 
+def _check_param(m, char):
+    """Raise DomainError unless the band class m's parameter gives a band
+    module over the field of characteristic `char`: its constant term must
+    be nonzero there, and over GF(p) it must be irreducible."""
+    if not field_value(m.param[0], char):
+        raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
+                          f" over {field_name(char)}; it gives no band module there")
+    if char and not is_irreducible_mod(m.param, char):
+        raise DomainError(f"band parameter {m.param} (constant term first) is reducible over"
+                          f" {field_name(char)}; it gives no indecomposable band module there")
+
+
 def build_representation(m, char=0):
     """Explicit matrices for a module reference over the field of
     characteristic `char`.
@@ -228,15 +243,11 @@ def build_representation(m, char=0):
     first letter), so no inverse is formed.  Over GF(p) the parameter must
     be irreducible with nonzero constant term, or DomainError is raised.
     """
-    p, letters, walk, d = _walk_data(m)
+    w, d = _word_data(m)
+    p, letters, walk = w.presentation, w.letters, w.walk()
     phi = first = None
     if isinstance(m, BandModuleClass):
-        if not field_value(m.param[0], char):
-            raise DomainError(f"band parameter {m.param} (constant term first) has constant term 0"
-                              f" over {field_name(char)}; it gives no band module there")
-        if char and not is_irreducible_mod(m.param, char):
-            raise DomainError(f"band parameter {m.param} (constant term first) is reducible over"
-                              f" {field_name(char)}; it gives no indecomposable band module there")
+        _check_param(m, char)
         phi = companion_matrix(poly_pow(m.param, m.level), char)
         first = next(k for k, c in enumerate(letters) if c.sign > 0)
     # a band's walk closes up: its last letter returns to position 0
@@ -314,53 +325,93 @@ def hom_dim(x: Representation, y: Representation):
 
 
 @lru_cache(maxsize=64)
-def _substring_tallies(w):
-    """(factor tally, image tally) of the string w.
+def _substring_tallies(w, cap):
+    """(factor tally, image tally) of the string w, or of the periodic word
+    w^oo of the band w with one start per phase and lengths <= cap.
 
-    Walk positions i..j of w = c_1...c_m span a factor substring when the
-    letter left of them, if any, is direct and the letter right of them, if
-    any, is inverse (a direct letter c_k maps position k+1 to k, as in
+    Walk positions i..j span a factor substring when the letter left of
+    them, if any, is direct and the letter right of them, if any, is inverse
+    (a direct letter c_k maps position k+1 to k, as in
     `build_representation`), and an image substring under the opposite
-    conditions.  A trivial substring is keyed by its vertex, a nontrivial one
-    by its letters; the image tally also holds each substring's inverse, so
-    D and D^-1 meet in one lookup."""
-    letters, walk, m = w.letters, w.walk(), len(w)
-    inverse = tuple(c.inverse for c in reversed(letters))
+    conditions.  In w^oo both neighbours always exist: the letter left of
+    phase 0 is the band's last letter.  A trivial substring is keyed by its
+    vertex, a nontrivial one by its letters; the image tally also holds each
+    substring's inverse, so D and D^-1 meet in one lookup.  A string has no
+    substring longer than itself, so its cap is its length."""
+    walk, m = w.walk(), len(w)
+    if isinstance(w, Band):
+        line = w.letters * (cap // m + 2)  # every phase plus cap letters and a right neighbour
+        signs = (line[-1].sign, *(c.sign for c in line))
+        starts = range(m)
+    else:
+        line = w.letters
+        signs = (0, *(c.sign for c in line), 0)
+        starts = range(m + 1)
+    n = len(line)
+    inverse = tuple(c.inverse for c in reversed(line))
     factor, image = {}, {}
-    for i in range(m + 1):
-        left = letters[i - 1].sign if i else 0
-        for j in range(i, m + 1):
-            right = letters[j].sign if j < m else 0
+    for i in starts:
+        left = signs[i]
+        for j in range(i, min(i + cap, n) + 1):
+            right = signs[j + 1]
             if left >= 0 and right <= 0:
-                key = letters[i:j] if j > i else walk[i]
+                key = line[i:j] if j > i else walk[i]
                 factor[key] = factor.get(key, 0) + 1
             if left <= 0 and right >= 0:
-                keys = (letters[i:j], inverse[m - j:m - i]) if j > i else (walk[i],)
+                keys = (line[i:j], inverse[n - j:n - i]) if j > i else (walk[i],)
                 for key in keys:
                     image[key] = image.get(key, 0) + 1
     return factor, image
 
 
-def hom_dim_modules(x, y, char=0):
-    """dim Hom(x, y) over the field of characteristic `char`.
+def _hom_word(m, char):
+    """(word, block size) of m, with a band parameter checked over the field."""
+    if isinstance(m, BandModuleClass):
+        _check_param(m, char)
+    return _word_data(m)
 
-    For two string modules M(v), M(w) it counts graph maps (Crawley-Boevey,
-    "Maps between representations of zero-relation algebras", J. Algebra 126,
-    1989): pairs of a factor substring of v and an image substring of w equal
-    up to inversion.  Whenever a band module is involved it is `hom_dim` of
-    the two representations."""
-    if isinstance(x, StringModule) and isinstance(y, StringModule):
-        if x.word.presentation != y.word.presentation:
-            raise DomainError("hom between modules over different presentations")
-        factor, image = _substring_tallies(x.word)[0], _substring_tallies(y.word)[1]
-        return sum(count * image.get(key, 0) for key, count in factor.items())
-    return hom_dim(build_representation(x, char), build_representation(y, char))
+
+def hom_dim_modules(x, y, char=0):
+    """dim Hom(x, y) over the field of characteristic `char`, counted by
+    graph maps; no representation is built.
+
+    Between string modules M(v), M(w) (Crawley-Boevey, "Maps between
+    representations of zero-relation algebras", J. Algebra 126, 1989) it is
+    the number of pairs of a factor substring of v and an image substring of
+    w equal up to inversion.  A band module M(b, V) stands for the periodic
+    word b^oo, its substrings taken once per start phase (Krause, "Maps
+    between tree and band modules", J. Algebra 137, 1991):
+
+      dim Hom(X, Y) = B_X B_Y #{finite pairs}
+                      + [X, Y bands of one class] deg gcd(f_X^l_X, f_Y^l_Y)
+
+    with block size B = 1 for a string and level * degree for a band class
+    of parameter f and level l; the last term is dim Hom over k[T] of
+    k[T]/(f_X^l_X) and k[T]/(f_Y^l_Y).  Substrings are counted up to a
+    cap: the string's length against a string, and m_X + m_Y between bands
+    of lengths m_X, m_Y.  A longer common substring of b_X^oo and b_Y^oo
+    would force the two bands into one class (Fine-Wilf), and within one
+    class no pair reaches length m, since a band is primitive and no
+    rotation of its own inverse.  A band parameter must give a band module
+    over the field, as in `build_representation`, or DomainError is raised.
+    """
+    (wx, bx), (wy, by) = _hom_word(x, char), _hom_word(y, char)
+    if wx.presentation != wy.presentation:
+        raise DomainError("hom between modules over different presentations")
+    strings = [len(w) for w in (wx, wy) if isinstance(w, StringWord)]
+    cap = min(strings, default=len(wx) + len(wy))
+    factor = _substring_tallies(wx, cap if isinstance(wx, Band) else len(wx))[0]
+    image = _substring_tallies(wy, cap if isinstance(wy, Band) else len(wy))[1]
+    dim = bx * by * sum(count * image.get(key, 0) for key, count in factor.items())
+    if isinstance(wx, Band) and wx == wy:
+        dim += gcd_degree(poly_pow(x.param, x.level), poly_pow(y.param, y.level), char)
+    return dim
 
 
 def ext1_dim_locally_free(x, y, char=0):
     """Ext^1 between locally free modules via the bilinear-form identity."""
     rx, ry = rank_vector(x), rank_vector(y)
-    p = _walk_data(x)[0]
+    p = _word_data(x)[0].presentation
     cd = roots.cartan(p.n)
     pairing = roots.ringel_form(cd, p.orientation, rx, ry)
     value = hom_dim_modules(x, y, char) - pairing
@@ -449,14 +500,28 @@ def is_injective(m):
 # ---------------------------------------------------------------------------
 
 def format_module(m):
+    """Text of a module: a string's word, or `band(<word>;<param>;<level>)`
+    with <param> the degree s when the parameter is `canonical_simple_param(s)`
+    of the rationals and its ascending coefficients, comma-separated,
+    otherwise; `band(<word>)` for degree 1 and level 1."""
     if m is ZERO:
         return "zero"
     if isinstance(m, StringModule):
         return format_word(m.word)
     base = format_word(m.band)
-    if m.param_degree == 1 and m.level == 1:
+    deg = m.param_degree
+    param = str(deg) if m.param == canonical_simple_param(deg) else ",".join(map(str, m.param))
+    if param == "1" and m.level == 1:
         return f"band({base})"
-    return f"band({base};{m.param_degree};{m.level})"
+    return f"band({base};{param};{m.level})"
+
+
+def _parse_param(text):
+    """A parameter field of a band text: ascending coefficients if it has a
+    comma, else the degree of `canonical_simple_param`."""
+    if "," in text:
+        return tuple(int(c) for c in text.split(","))
+    return canonical_simple_param(int(text))
 
 
 def parse_module(p, text):
@@ -470,11 +535,11 @@ def parse_module(p, text):
             raise DomainError(f"bad band module: {text!r}")
         band = parse_band(p, parts[0])
         try:
-            deg = int(parts[1]) if len(parts) > 1 else 1
+            param = _parse_param(parts[1]) if len(parts) > 1 else canonical_simple_param(1)
             level = int(parts[2]) if len(parts) > 2 else 1
         except ValueError:
-            raise DomainError(f"band degree and level must be integers: {text!r}") from None
-        return band_module(band, canonical_simple_param(deg), level)
+            raise DomainError(f"band parameter and level must be integers: {text!r}") from None
+        return band_module(band, param, level)
     return string_module(parse_word(p, text))
 
 
@@ -487,6 +552,7 @@ def module_to_json(m):
         "kind": "band",
         "band": format_word(m.band),
         "param_degree": m.param_degree,
+        "param": list(m.param),
         "level": m.level,
     })
 
@@ -498,4 +564,5 @@ def module_from_json(p, text):
     if doc["kind"] == "string":
         return string_module(parse_word(p, doc["word"]))
     band = parse_band(p, doc["band"])
-    return band_module(band, canonical_simple_param(doc["param_degree"]), doc["level"])
+    param = doc["param"] if "param" in doc else canonical_simple_param(doc["param_degree"])
+    return band_module(band, param, doc["level"])

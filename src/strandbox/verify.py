@@ -26,7 +26,6 @@ from .modules import (
     dim_vector,
     format_module,
     injective_string,
-    is_locally_free,
     is_rigid,
     projective_string,
     rank_vector,
@@ -138,14 +137,22 @@ class GLSReport:
         return "\n".join(lines)
 
 
+def _free_rank(m):
+    """The rank vector of m, or None when m is not locally free: one walk
+    answers both."""
+    try:
+        return rank_vector(m)
+    except NotLocallyFree:
+        return None
+
+
 def _orbit(m, step):
     """(module, rank vector) along the orbit of m; each must be locally free."""
     while m is not ZERO:
-        try:
-            rv = rank_vector(m)
-        except NotLocallyFree:
+        rv = _free_rank(m)
+        if rv is None:
             raise InternalCheckError(f"tau-orbit module {format_module(m)} "
-                                     f"is not locally free") from None
+                                     f"is not locally free")
         yield m, rv
         m = step(m)
 
@@ -195,11 +202,11 @@ def tau_locally_free_rank_vectors(p, bound):
     if bound >= 1:
         for level, row in enumerate(tube_rows(p), start=1):
             members = set(row)
-            for m in row:
-                if not is_locally_free(m) or tau(m) not in members or tau_inv(m) not in members:
+            ranks = [_free_rank(m) for m in row]
+            for m, rv in zip(row, ranks):
+                if rv is None or tau(m) not in members or tau_inv(m) not in members:
                     raise InternalCheckError(f"tube row {level} is not a tau-orbit of locally "
                                              f"free modules at {format_module(m)}")
-            ranks = [rank_vector(m) for m in row]
             if min(map(height, ranks)) > bound:
                 break
             for pos, (m, rv) in enumerate(zip(row, ranks)):
@@ -215,10 +222,11 @@ def tau_locally_free_rank_vectors(p, bound):
                 level = 1
                 while t * s * level * ht_delta <= bound:
                     m = band_module(b, canonical_simple_param(s), level)
-                    if not is_locally_free(m) or tau(m) != m:
+                    rv = _free_rank(m)
+                    if rv is None or tau(m) != m:
                         raise InternalCheckError(f"band module {format_module(m)} is not "
                                                  f"tau-locally free")
-                    add(Witness("band", m, level=level), rank_vector(m))
+                    add(Witness("band", m, level=level), rv)
                     level += 1
                 s += 1
     return witnesses

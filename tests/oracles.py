@@ -354,3 +354,28 @@ def translate_by_inversion(m, sign):
         return images.pop()
     right = _step_by_inversion(w, sign)
     return string_module(_step_by_inversion(right.inverse, sign).inverse)
+
+
+def gcd_degree_by_euclid(a, b, char=0):
+    """deg gcd(a, b) of polynomials (ascending int coefficients) by the
+    Euclidean algorithm: over Q on Fractions, over GF(p) on ints mod p."""
+    def trim(f):
+        f = [Fraction(c) for c in f] if not char else [c % char for c in f]
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def rem(f, g):
+        f = list(f)
+        while len(f) >= len(g):
+            q = f[-1] / g[-1] if not char else f[-1] * pow(g[-1], char - 2, char)
+            shift = len(f) - len(g)
+            for k, gk in enumerate(g):
+                f[shift + k] -= q * gk
+            f = trim(f)
+        return f
+
+    f, g = trim(a), trim(b)
+    while g:
+        f, g = g, rem(f, g)
+    return len(f) - 1

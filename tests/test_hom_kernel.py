@@ -1,12 +1,14 @@
 """The Hom kernels against their oracles.
 
-`modules.hom_dim_modules` counts graph maps between two string modules and
-hands any pair with a band module to `modules.hom_dim`.  That sparse kernel
+`modules.hom_dim_modules` counts graph maps between any two string or band
+modules and builds no representation.  The sparse kernel `modules.hom_dim`
 builds the intertwiner system as sparse rows and `linalg.mat_rank`
 eliminates them over plain ints, fraction-free over Q and mod p over GF(p);
 it is the oracle of the graph-map count, compared on every pair of string
-modules of length <= 6, on presentations outside the C-tilde family and on
-every pair of string witnesses up to bound 10.  The oracle of the sparse
+modules of length <= 6, on presentations outside the C-tilde family, on
+every pair of string witnesses up to bound 10, and on band x band, band x
+string and string x band pairs for every orientation with n <= 5, with
+parameters over Q, GF(2), GF(7) and GF(101).  The oracle of the sparse
 kernel (`oracles.dense_hom_dim`, `oracles.dense_rank`) writes the same
 system as dense rows and eliminates column by column, over Fractions for Q
 and ints mod p for GF(p).  The two are compared on every pair of string
@@ -31,14 +33,28 @@ from strandbox import (
     enumerate_strings,
     hom_dim,
     hom_dim_modules,
+    injective_string,
+    is_rigid,
+    projective_string,
     string_module,
+    tau,
+    tau_inv,
     tau_locally_free_rank_vectors,
 )
-from strandbox.linalg import echelon, field_value, is_irreducible_mod, mat_rank, scalar_from_spec
-from strandbox.modules import Representation
+from strandbox import modules
+from strandbox.linalg import (
+    echelon,
+    field_value,
+    gcd_degree,
+    is_irreducible_mod,
+    mat_rank,
+    poly_mul,
+    scalar_from_spec,
+)
+from strandbox.modules import Representation, _substring_tallies
 
 from conftest import all_orientations
-from oracles import dense_hom_dim, dense_rank
+from oracles import dense_hom_dim, dense_rank, gcd_degree_by_euclid
 from test_fast_paths import KRONECKER
 from test_word_kernel import linear_a4_with_a_cubic_relation
 
@@ -90,7 +106,7 @@ def test_graph_maps_of_string_witnesses_match_the_sparse_kernel(n, orientation):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_a_pair_with_a_band_module_keeps_the_sparse_kernel(field):
+def test_a_pair_with_a_band_module_matches_the_sparse_and_dense_kernels(field):
     p = build_type_C_algebra(3, "RR")
     char = scalar_from_spec(field)
     band = band_module(enumerate_bands(p, 1)[0], level=2)
@@ -197,6 +213,17 @@ def test_irreducibility_matches_trial_division(q):
             assert is_irreducible_mod(f, q) == (not any(_divides(g, f, q) for g in factors)), f
 
 
+monic = st.lists(st.integers(-3, 3), max_size=3).map(lambda tail: tuple(tail) + (1,))
+
+
+@PROPERTY
+@given(monic, monic, monic, st.sampled_from((0, 2, 7, 101)))
+def test_gcd_degree_matches_the_euclidean_algorithm(f, g, h, char):
+    a, b = poly_mul(f, g), poly_mul(f, h)
+    assert gcd_degree(a, b, char) == gcd_degree_by_euclid(a, b, char) >= len(f) - 1
+    assert gcd_degree(a, a, char) == len(a) - 1
+
+
 @st.composite
 def sparse_rows(draw):
     """Sparse integer rows over at most 8 columns, with zero entries, zero
@@ -244,3 +271,90 @@ def test_echelon_stores_normalised_pivot_rows(case, char):
 def test_mat_rank_of_no_rows_is_zero():
     assert mat_rank([]) == 0 and mat_rank([], 7) == 0 and dense_rank([]) == 0
     assert mat_rank([{}, {0: 0}, {1: 7}], 7) == 0
+
+
+# Band parameters per field: the default ones of degree 1 and 2, two
+# reducible ones over Q ((T-1)(T-2) and (T+1)^2), T+6 over GF(7), equal to
+# the default T-1 there but not as ints, and parameters that give no band
+# module over the field: constant term 0 there (T^2-2 over GF(2), T+7 over
+# GF(7)) or reducible over GF(p) ((T+1)^2 over GF(2), T^2-2 over GF(7)).
+BAND_PARAMS = {
+    0: ((-1, 1), (-2, 0, 1), (2, -3, 1), (1, 2, 1)),
+    2: ((-1, 1), (1, 1, 1), (1, 0, 1), (-2, 0, 1)),
+    7: ((-1, 1), (6, 1), (1, 0, 1), (-2, 0, 1), (7, 1)),
+    101: ((-1, 1), (1, 1, 1)),
+}
+
+
+def _band_modules_of_each_param(p, char, dim_limit):
+    """Band modules of delta-length <= 2 for every parameter of the field,
+    at levels 1-3 while level * degree * length <= dim_limit."""
+    return [band_module(b, param, level) for b in enumerate_bands(p, 2)
+            for param in BAND_PARAMS[char] for level in (1, 2, 3)
+            if level * (len(param) - 1) * len(b) <= dim_limit]
+
+
+@pytest.mark.parametrize("n, orientation, char", [
+    (n, o, char) for n in (3, 4, 5) for o in all_orientations(n)
+    for char in sorted(BAND_PARAMS) if n < 5 or char in (0, 7)])
+def test_graph_maps_with_band_modules_match_the_sparse_kernel(n, orientation, char):
+    # band x band, band x string and string x band; where the sparse kernel
+    # cannot build a representation, the count raises the same DomainError.
+    # GF(2) and GF(101) stop at n = 4 to keep the oracle's time down.
+    p = build_type_C_algebra(n, orientation)
+    bands = _band_modules_of_each_param(p, char, 6 * n)
+    strings = [string_module(w) for w in enumerate_strings(p, 2)]
+    reps = {}
+    for m in bands + strings:
+        try:
+            reps[m] = build_representation(m, char)
+        except DomainError as refusal:
+            reps[m] = refusal
+    pairs = [*itertools.product(bands, repeat=2), *itertools.product(bands, strings),
+             *itertools.product(strings, bands)]
+    for x, y in pairs:
+        refusal = next((r for r in (reps[x], reps[y]) if isinstance(r, DomainError)), None)
+        if refusal is None:
+            assert hom_dim_modules(x, y, char) == hom_dim(reps[x], reps[y]), (x, y)
+        else:
+            with pytest.raises(DomainError) as raised:
+                hom_dim_modules(x, y, char)
+            assert str(raised.value) == str(refusal)
+
+
+@pytest.mark.parametrize("n, orientation", [(n, o) for n in (3, 4) for o in all_orientations(n)])
+def test_the_cap_between_bands_cuts_off_no_pair(n, orientation):
+    # counted far past the cap m_X + m_Y, a pair of one band is shorter than
+    # the band, and a pair of two bands shorter than m_X + m_Y - 1
+    bands = enumerate_bands(build_type_C_algebra(n, orientation), 2)
+    for bx, by in itertools.product(bands, repeat=2):
+        far = 3 * (len(bx) + len(by))
+        factor, image = _substring_tallies(bx, far)[0], _substring_tallies(by, far)[1]
+        longest = max((len(key) for key in factor if key in image and isinstance(key, tuple)),
+                      default=0)
+        assert longest < (len(bx) if bx == by else len(bx) + len(by) - 1), (bx, by)
+
+
+@pytest.mark.parametrize("orientation", ["RRL", "RLL", "LRR", "LLR"])
+def test_no_hom_call_of_the_hom_benchmark_builds_a_representation(orientation, monkeypatch):
+    # the calls of perfbench's hom_dense workload: Hom both ways between
+    # tau^-3 P_i and tau^3 I_j, rigidity of each, band self-Hom at levels 1-4
+    p = build_type_C_algebra(4, orientation)
+    strings = []
+    for i in p.vertices:
+        x, y = projective_string(p, i), injective_string(p, i)
+        for _ in range(3):
+            x, y = tau_inv(x), tau(y)
+        strings += [x, y]
+    bands = [band_module(b, level=level) for b in enumerate_bands(p, 2) for level in (1, 2, 3, 4)]
+    pairs = [*itertools.product(strings, repeat=2), *((m, m) for m in bands)]
+    expected = [hom_dim(build_representation(x), build_representation(y)) for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a Hom call built a representation")
+
+    monkeypatch.setattr(modules, "build_representation", refuse)
+    monkeypatch.setattr(modules, "hom_dim", refuse)
+    for char in (0, 101):
+        assert [hom_dim_modules(x, y, char) for x, y in pairs] == expected
+        assert all(is_rigid(m, char) for m in strings)

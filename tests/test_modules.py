@@ -1,7 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandbox import (
     DomainError,
@@ -280,6 +283,38 @@ def test_module_text_and_json_round_trip(a3):
         assert parse_module(a3, format_module(m)) == m
         assert module_from_json(a3, module_to_json(m)) == m
     assert parse_module(a3, "zero") is parse_module(a3, "zero")
+
+
+# the default parameters of degree 1-3 over Q, GF(2), GF(7) and GF(101), and
+# any T - lambda
+band_params = st.one_of(
+    st.builds(canonical_simple_param, st.integers(1, 3), st.sampled_from((0, 2, 7, 101))),
+    st.integers(-50, 50).filter(bool).map(lambda lam: (-lam, 1)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(["RR", "LR", "RRL", "RLR"]), st.integers(0, 4), band_params,
+       st.integers(1, 4))
+def test_band_module_text_and_json_round_trip_for_every_parameter(orientation, k, param, level):
+    p = build_type_C_algebra(len(orientation) + 1, orientation)
+    m = band_module(enumerate_bands(p, 2)[k], param, level)
+    assert parse_module(p, format_module(m)) == m
+    assert module_from_json(p, module_to_json(m)) == m
+
+
+def test_band_text_names_a_parameter_other_than_the_rational_default(a3):
+    b = parse_band(a3, W2)
+    m = band_module(b, canonical_simple_param(2, 7), 2)
+    assert format_module(m) == f"band({W2};1,0,1;2)"
+    assert format_module(band_module(b, canonical_simple_param(2), 2)) == f"band({W2};2;2)"
+    assert format_module(band_module(b, (3, 1))) == f"band({W2};3,1;1)"
+    # JSON written before the parameter was added still reads the default
+    old = {"kind": "band", "band": W2, "param_degree": 2, "level": 2}
+    assert module_from_json(a3, json.dumps(old)) == band_module(b, canonical_simple_param(2), 2)
+    for text in (f"band({W2};1,x;1)", f"band({W2};0,1;1)", f"band({W2};1,0,2;1)"):
+        with pytest.raises(DomainError):
+            parse_module(a3, text)
 
 
 def test_representation_scalar_is_exact(a3):
