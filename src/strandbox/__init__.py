@@ -11,8 +11,6 @@ from .algebra import (
     Presentation,
     admissible_vertices,
     build_type_C_algebra,
-    presentation_from_json,
-    presentation_to_json,
     validate_string_algebra,
 )
 from .artrans import (

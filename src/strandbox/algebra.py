@@ -11,18 +11,19 @@ Presentations are immutable; everything here is pure and safe to share.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+class Arrow(Record):
+    """An arrow `name`: source -> target."""
+
+    __slots__ = ("name", "source", "target")
+
+    def __hash__(self):  # written out: every `Letter(arrow, sign)` lookup hashes the arrow
+        return hash((self.name, self.source, self.target))
 
     @property
     def is_loop(self):
@@ -38,8 +39,7 @@ def arrow_key(a: Arrow):
     return (0 if a.is_loop else 1, a.source, a.target, a.name)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A quiver with monomial relations.
 
     ``relations`` are composable paths stored in word order: the relation
@@ -48,10 +48,10 @@ class Presentation:
     for members of the C-tilde family, None for generic presentations.
     """
 
-    n: int
-    arrows: tuple[Arrow, ...]
-    relations: tuple[tuple[Arrow, ...], ...]
-    orientation: tuple[str, ...] | None = None
+    __slots__ = ("n", "arrows", "relations", "orientation")
+
+    def __init__(self, n, arrows, relations, orientation=None):
+        Record.__init__(self, n, arrows, relations, orientation)
 
     @property
     def vertices(self):
@@ -224,25 +224,3 @@ def admissible_vertices(p: Presentation):
             result.add((u, "source"))
     return result
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def presentation_to_json(p: Presentation):
-    doc = {
-        "n": p.n,
-        "orientation": list(p.orientation) if p.orientation else None,
-        "arrows": [{"name": a.name, "source": a.source, "target": a.target} for a in p.arrows],
-        "relations": [[a.name for a in rel] for rel in p.relations],
-    }
-    return json.dumps(doc, sort_keys=False)
-
-
-def presentation_from_json(text):
-    doc = json.loads(text)
-    arrows = tuple(Arrow(a["name"], a["source"], a["target"]) for a in doc["arrows"])
-    named = {a.name: a for a in arrows}
-    relations = tuple(tuple(named[nm] for nm in rel) for rel in doc["relations"])
-    orientation = tuple(doc["orientation"]) if doc.get("orientation") else None
-    return Presentation(n=doc["n"], arrows=arrows, relations=relations, orientation=orientation)

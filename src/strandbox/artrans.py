@@ -29,7 +29,6 @@ letter: the last letter of w^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 
@@ -60,6 +59,7 @@ from .modules import (
     soc_quotient_decomposition,
     string_module,
 )
+from .record import Record
 from .strings import (
     Letter,
     StringWord,
@@ -109,13 +109,15 @@ def _sides(p):
     return side
 
 
-@dataclass(frozen=True)
-class _Rays:
-    """The rays of one presentation."""
+class _Rays(Record):
+    """The rays of one presentation:
 
-    ray: dict  # letter c -> ray(c)
-    side: dict  # letter c -> c's side at its target
-    by_class: dict  # ray(c) and ray(c)^-1 -> the letters c with that ray
+    ray       letter c -> ray(c)
+    side      letter c -> c's side at its target
+    by_class  ray(c) and ray(c)^-1 -> the letters c with that ray
+    """
+
+    __slots__ = ("ray", "side", "by_class")
 
 
 @lru_cache(maxsize=None)
@@ -145,25 +147,30 @@ def extendable(w: StringWord, sign):
 # hooks and cohooks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tail:
-    """The tail c.ray(c) of a letter c, as one end of a word holds it."""
+class _Tail(Record):
+    """The tail c.ray(c) of a letter c, as one end of a word holds it:
 
-    letter: Letter  # c
-    letters: tuple  # c.ray(c) at the right end, its inverse at the left end
-    tag: int  # the tag of a trivial word at this end that takes c, and of one the tail leaves
+    letter   c
+    letters  c.ray(c) at the right end, its inverse at the left end
+    tag      the tag of a trivial word at this end that takes c, and of one
+             the tail leaves
+    """
+
+    __slots__ = ("letter", "letters", "tag")
 
 
-@dataclass(frozen=True)
-class _End:
+class _End(Record):
     """The tails at one end of the letter tuple, keyed by (end letter, sign):
-    w's last letter on the right, the inverse of its first on the left."""
+    w's last letter on the right, the inverse of its first on the left.
 
-    left: bool
-    adds: dict  # (e, s) -> tails of the letters c of sign s with e.c a string
-    deletes: dict  # (e, s) -> tails of the letters c of sign s whose c.ray(c) ends in e
-    tails: dict  # letter c -> its tail
-    checked: bool  # relations longer than 2: an added letter must still pass can_append
+    left     whether this is the left end
+    adds     (e, s) -> tails of the letters c of sign s with e.c a string
+    deletes  (e, s) -> tails of the letters c of sign s whose c.ray(c) ends in e
+    tails    letter c -> its tail
+    checked  relations longer than 2: an added letter must still pass can_append
+    """
+
+    __slots__ = ("left", "adds", "deletes", "tails", "checked")
 
 
 @lru_cache(maxsize=None)
@@ -248,12 +255,11 @@ def delete_left(w, sign):
 # AR-sequences and the translation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ARSequence:
-    left: object
-    middle: tuple
-    right: object
-    case_tag: str
+class ARSequence(Record):
+    """The AR-sequence 0 -> left -> sum of middle -> right -> 0, with the
+    case that gave it."""
+
+    __slots__ = ("left", "middle", "right", "case_tag")
 
     def __repr__(self):
         mids = " + ".join(format_module(m) for m in self.middle)
@@ -435,15 +441,22 @@ def tube_bottom(p):
     return orbit
 
 
-@dataclass
 class ComponentGraph:
-    kind: str
-    rank: int | None
-    nodes: dict
-    edges: set
-    tau_edges: set
-    rows: list | None = None  # tube windows: the modules level by level
-    dist: dict | None = None  # component windows: node key -> distance from the seed
+    """A window of an AR component: its kind and rank, nodes by text key,
+    arrows and translation arrows as key pairs; `rows` holds a tube window's
+    modules level by level, `dist` a component window's distance from the
+    seed per node key."""
+
+    __slots__ = ("kind", "rank", "nodes", "edges", "tau_edges", "rows", "dist")
+
+    def __init__(self, kind, rank, nodes, edges, tau_edges, rows=None, dist=None):
+        self.kind = kind
+        self.rank = rank
+        self.nodes = nodes
+        self.edges = edges
+        self.tau_edges = tau_edges
+        self.rows = rows
+        self.dist = dist
 
 
 def tube_rows(p):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 
@@ -41,6 +40,7 @@ from .linalg import (
     poly_pow,
     sparse_mul,
 )
+from .record import Record
 from .strings import (
     Band,
     Letter,
@@ -75,19 +75,33 @@ class ZeroModule:
 ZERO = ZeroModule()
 
 
-@dataclass(frozen=True)
-class StringModule:
-    word: StringWord
+class StringModule(Record):
+    """The string module M(word) of a canonical string word."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word):
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not StringModule:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self):
+        return hash(self.word)
 
     def __repr__(self):
         return f"M({format_word(self.word)})"
 
 
-@dataclass(frozen=True)
-class BandModuleClass:
-    band: Band
-    param: tuple[int, ...]  # monic polynomial, ascending coefficients, p(0) != 0
-    level: int
+class BandModuleClass(Record):
+    """The band module of `band` at tube level `level`, its parameter `param`
+    a monic polynomial in ascending coefficients with param(0) != 0."""
+
+    __slots__ = ("band", "param", "level")
 
     @property
     def param_degree(self):
@@ -208,15 +222,17 @@ def rank_vector(m):
 # explicit representations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Representation:
     """Arrow a acts by mats[a.name] = {(row, col): nonzero int entry}, reduced
     mod char over GF(char) (char > 0), an integer over Q (char 0)."""
 
-    presentation: object
-    dims: tuple[int, ...]
-    mats: dict
-    char: int = 0
+    __slots__ = ("presentation", "dims", "mats", "char")
+
+    def __init__(self, presentation, dims, mats, char=0):
+        self.presentation = presentation
+        self.dims = dims
+        self.mats = mats
+        self.char = char
 
 
 def _check_param(m, char):

@@ -10,17 +10,16 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError, InternalCheckError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CartanData:
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # the Cartan matrix C
-    d: tuple[int, ...]                 # symmetrizer diagonal
+class CartanData(Record):
+    """The Cartan matrix C of rank n, by rows, and its symmetrizer diagonal d."""
+
+    __slots__ = ("n", "rows", "d")
 
     def c(self, i, j):
         return self.rows[i - 1][j - 1]
@@ -214,10 +213,10 @@ def admissible_sequences(orientation, polarity="+"):
 # Coxeter transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoxeterTransform:
-    cd: CartanData
-    seq: tuple[int, ...]
+class CoxeterTransform(Record):
+    """c = s_{i_n} ... s_{i_1} for the vertex order seq = (i_1, ..., i_n)."""
+
+    __slots__ = ("cd", "seq")
 
     def apply(self, x, power=1):
         """c^power(x), where c = s_{i_n} ... s_{i_1}."""

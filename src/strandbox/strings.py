@@ -28,7 +28,6 @@ Words are checked once, where they enter the program: `Letter`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise, product
 from operator import attrgetter
@@ -44,6 +43,7 @@ from .algebra import (
     spine_arrows,
 )
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
+from .record import Record
 
 _LETTERS = {}  # (arrow, sign) -> the interned Letter
 _LETTERS_LOCK = Lock()  # so that two threads never intern one letter twice
@@ -91,16 +91,30 @@ def letter_key(c: Letter):
     return c.key
 
 
-@dataclass(frozen=True)
-class StringWord:
+class StringWord(Record):
     """A string: either trivial at a vertex (with a +-/- side tag) or a
     nonempty word of letters.  The hash skips the presentation; equality
-    compares it."""
+    compares it last, in one tuple, so that an identical presentation is
+    not compared arrow by arrow."""
 
-    presentation: Presentation = field(hash=False)
-    letters: tuple[Letter, ...]
-    base: int | None = None
-    tag: int = 1
+    __slots__ = ("presentation", "letters", "base", "tag")
+
+    def __init__(self, presentation, letters, base=None, tag=1):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "tag", tag)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not StringWord:
+            return NotImplemented
+        return (self.letters, self.base, self.tag, self.presentation) == \
+            (other.letters, other.base, other.tag, other.presentation)
+
+    def __hash__(self):
+        return hash((self.letters, self.base, self.tag))
 
     @property
     def is_trivial(self):
@@ -133,10 +147,13 @@ class StringWord:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class Band:
-    presentation: Presentation = field(hash=False)
-    letters: tuple[Letter, ...]
+class Band(Record):
+    """A band: its letters, read cyclically.  The hash skips the presentation."""
+
+    __slots__ = ("presentation", "letters")
+
+    def __hash__(self):
+        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -187,16 +204,18 @@ def _window_forbidden(relations, window):
     return False
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """The validity tables of one presentation."""
+class _Kernel(Record):
+    """The validity tables of one presentation:
 
-    letters: frozenset  # every letter of the presentation
-    pairs: frozenset  # (c, d) such that c.d is a string
-    ending_at: dict  # vertex -> letters with that target: direct, then inverse
-    successors: dict  # letter c -> the letters d with (c, d) in pairs, in ending_at order
-    relations: frozenset
-    long_lengths: tuple  # relation lengths other than 2, for the window check
+    letters       every letter of the presentation
+    pairs         (c, d) such that c.d is a string
+    ending_at     vertex -> letters with that target: direct, then inverse
+    successors    letter c -> the letters d with (c, d) in pairs, in ending_at order
+    relations     the relation set
+    long_lengths  relation lengths other than 2, for the window check
+    """
+
+    __slots__ = ("letters", "pairs", "ending_at", "successors", "relations", "long_lengths")
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ of these checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
@@ -30,6 +29,7 @@ from .modules import (
     projective_string,
     rank_vector,
 )
+from .record import Record
 from .roots import (
     beta,
     bounded_orbit,
@@ -48,14 +48,21 @@ from .strings import delta_length, enumerate_bands
 WINDOW = 10  # modules of each witness's tau-orbit checked on either side, itself included
 
 
-@dataclass(frozen=True)
-class Witness:
-    family: str  # preprojective | preinjective | tube | band
-    module: object
-    vertex: int | None = None    # orbits: the start P_vertex or I_vertex
-    step: int | None = None      # orbits: tau-steps from the start
-    level: int | None = None     # tube row, or band module level
-    position: int | None = None  # place in the tube row
+class Witness(Record):
+    """A witness module of one of the four families:
+
+    family    preprojective | preinjective | tube | band
+    module    the module
+    vertex    orbits: the start P_vertex or I_vertex
+    step      orbits: tau-steps from the start
+    level     tube row, or band module level
+    position  place in the tube row
+    """
+
+    __slots__ = ("family", "module", "vertex", "step", "level", "position")
+
+    def __init__(self, family, module, vertex=None, step=None, level=None, position=None):
+        Record.__init__(self, family, module, vertex, step, level, position)
 
     @property
     def label(self):
@@ -69,27 +76,39 @@ class Witness:
         return f"dl={delta_length(m.band)} deg={m.param_degree} level={self.level}"
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool
-    problems: list
+    """The verdict of one named check and its problems, one line each."""
+
+    __slots__ = ("name", "passed", "problems")
+
+    def __init__(self, name, passed, problems):
+        self.name = name
+        self.passed = passed
+        self.problems = problems
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
         return f"<{self.name}: {state}, {len(self.problems)} problem(s)>"
 
 
-@dataclass
 class GLSReport:
-    n: int
-    orientation: tuple
-    bound: int
-    matched_real: dict
-    matched_imaginary: dict
-    missing: list
-    extra: list
-    problems: list = field(default_factory=list)
+    """The outcome of `check_gls`: the witness of each real root, the
+    witnesses of each imaginary root, the roots without a witness (missing),
+    the rank vectors that are no root (extra) and the problems found."""
+
+    __slots__ = ("n", "orientation", "bound", "matched_real", "matched_imaginary",
+                 "missing", "extra", "problems")
+
+    def __init__(self, n, orientation, bound, matched_real, matched_imaginary, missing, extra,
+                 problems):
+        self.n = n
+        self.orientation = orientation
+        self.bound = bound
+        self.matched_real = matched_real
+        self.matched_imaginary = matched_imaginary
+        self.missing = missing
+        self.extra = extra
+        self.problems = problems
 
     @property
     def passed(self):
@@ -181,11 +200,13 @@ def _orbit_witnesses(cd, start, step, back, bound):
     return [(r, *walked[r]) for r in inside]
 
 
-def tau_locally_free_rank_vectors(p, bound):
+def tau_locally_free_rank_vectors(p, bound, char=0):
     """Map rank vector -> witnesses among tau-locally free modules of height
     <= bound, assembled from the four families and checked as they are built:
     orbits as in `_orbit_witnesses`, each tube row (locally free, closed under
-    tau and tau^-1) and each band module (locally free, fixed by tau) once."""
+    tau and tau^-1) and each band module (locally free, fixed by tau) once.
+    Band witnesses take the canonical parameter over the field of
+    characteristic `char`, so that each is a band module over that field."""
     if bound < 0:
         raise DomainError("bound must be >= 0")
     cd = cartan(p.n)
@@ -221,7 +242,7 @@ def tau_locally_free_rank_vectors(p, bound):
             while t * s * ht_delta <= bound:
                 level = 1
                 while t * s * level * ht_delta <= bound:
-                    m = band_module(b, canonical_simple_param(s), level)
+                    m = band_module(b, canonical_simple_param(s, char), level)
                     rv = _free_rank(m)
                     if rv is None or tau(m) != m:
                         raise InternalCheckError(f"band module {format_module(m)} is not "
@@ -237,7 +258,7 @@ def check_gls(p, bound, char=0):
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
-    table = tau_locally_free_rank_vectors(p, bound)
+    table = tau_locally_free_rank_vectors(p, bound, char)
     missing = sorted(roots_set - set(table))
     extra = sorted(set(table) - roots_set)
     problems = []

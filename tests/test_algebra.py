@@ -6,8 +6,6 @@ from strandbox import (
     Presentation,
     admissible_vertices,
     build_type_C_algebra,
-    presentation_from_json,
-    presentation_to_json,
     validate_string_algebra,
 )
 from strandbox import Letter
@@ -89,13 +87,6 @@ def test_path_in_ideal(a3):
     a21 = next(a for a in a3.arrows if a.name == "a21")
     assert path_in_ideal(a3, (e1, e1))
     assert not path_in_ideal(a3, (a21, e1))
-
-
-def test_json_round_trip(a4_rrl):
-    text = presentation_to_json(a4_rrl)
-    back = presentation_from_json(text)
-    assert back == a4_rrl
-    assert '"orientation": ["R", "R", "L"]' in text
 
 
 def test_side_functions_consistency():

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no module
-imports another module's private (underscored) names, and every function
-the benchmark's tracer wraps by name is still defined where it looks.
+imports another module's private (underscored) names, every function
+the benchmark's tracer wraps by name is still defined where it looks, and
+importing the package loads neither `dataclasses` nor `inspect`.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  `__init__.py` is skipped: its imports are the exports.
@@ -9,7 +10,10 @@ The tracer's table is read from its source; the benchmark is not imported.
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,3 +74,14 @@ def test_every_function_the_tracer_wraps_by_name_is_defined_in_its_module():
             if not callable(fn) or fn.__module__ != module.__name__:
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("module", ["strandbox", "strandbox.cli"])
+def test_importing_the_package_loads_no_code_generators(module):
+    """A cold `import strandbox` (and the CLI) must not pull in `dataclasses`
+    or `inspect`; a plain interpreter start loads neither."""
+    probe = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "[]"

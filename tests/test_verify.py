@@ -7,7 +7,9 @@ from strandbox import (
     ZERO,
     DomainError,
     beta,
+    build_representation,
     build_type_C_algebra,
+    canonical_simple_param,
     cartan,
     check_coxeter_compatibility,
     check_gls,
@@ -16,6 +18,8 @@ from strandbox import (
     coxeter,
     delta,
     enumerate_positive_roots,
+    hom_dim,
+    hom_dim_modules,
     projective_string,
     quadratic,
     rank_vector,
@@ -24,6 +28,7 @@ from strandbox import (
     tau_locally_free_rank_vectors,
 )
 from strandbox import verify
+from strandbox.linalg import is_irreducible_mod
 
 from conftest import all_orientations
 from oracles import fails_tau_local_freeness
@@ -79,6 +84,30 @@ def test_check_gls_passes(a3):
     assert not report.missing and not report.extra and not report.problems
     assert set(report.matched_real) | set(report.matched_imaginary) == \
         enumerate_positive_roots(cartan(3), 12)
+
+
+def test_band_witnesses_are_band_modules_over_the_field_of_the_check():
+    """Over GF(7) every band witness has a parameter irreducible there, so that
+    Hom(M, tau M) is defined (T^2 - 2 splits over GF(7)); over Q the witnesses
+    keep T^s - 2, and the two tables agree on everything but the parameters."""
+    p = build_type_C_algebra(3, "RR")
+    over_q, over_7 = tau_locally_free_rank_vectors(p, 8), tau_locally_free_rank_vectors(p, 8, 7)
+    bands_q = [w for ws in over_q.values() for w in ws if w.family == "band"]
+    bands_7 = [w for ws in over_7.values() for w in ws if w.family == "band"]
+    assert {w.module.param_degree for w in bands_7} == {1, 2}
+    for w in bands_q:
+        assert w.module.param == canonical_simple_param(w.module.param_degree)
+    for w in bands_7:
+        m = w.module
+        assert is_irreducible_mod(m.param, 7)
+        assert hom_dim_modules(m, tau(m), 7) == \
+            hom_dim(build_representation(m, 7), build_representation(tau(m), 7))
+
+    def shape(table):
+        return {rv: [(w.family, w.label) for w in ws] for rv, ws in table.items()}
+
+    assert shape(over_q) == shape(over_7)
+    assert check_gls(p, 8, 7).passed
 
 
 def test_check_gls_vacuous_bound(a3):

@@ -19,15 +19,21 @@ from hypothesis import strategies as st
 from strandbox import (
     Arrow,
     Presentation,
+    Witness,
+    ar_sequence_starting_at,
     band_module,
     build_type_C_algebra,
     canonical_string,
+    cartan,
+    coxeter,
     enumerate_strings,
     format_word,
     is_string,
+    parse_band,
     parse_word,
     string_module,
 )
+from strandbox.record import Record
 from strandbox.strings import Letter, can_append, word
 
 from oracles import string_ok
@@ -163,20 +169,67 @@ def test_threads_intern_one_letter_per_arrow_and_sign():
         assert letters[0].inverse.inverse is letters[0]
 
 
+def records(p):
+    """One value of every record type, built from the presentation p (n = 3, RR)."""
+    w = parse_word(p, "a21~.a32~.e3.a32.a21")
+    band = parse_band(p, "e1.a21~.a32~.e3.a32.a21")
+    m = band_module(band, (1, 0, 1), 2)  # canonical_simple_param(2, 7)
+    cd = cartan(p.n)
+    return {
+        "Arrow": p.arrows[0],
+        "Presentation": p,
+        "StringWord": w,
+        "Band": band,
+        "StringModule": string_module(w),
+        "BandModuleClass": m,
+        "CartanData": cd,
+        "CoxeterTransform": coxeter(cd, (3, 2, 1)),
+        "Witness": Witness("band", m, level=2),
+        "ARSequence": ar_sequence_starting_at(string_module(w)),
+    }
+
+
+def test_every_public_record_type_is_covered():
+    """Each public subclass of the record base has a value in `records`."""
+    public = {cls.__name__ for cls in Record.__subclasses__() if not cls.__name__.startswith("_")}
+    assert public == set(records(build_type_C_algebra(3, "RR")))
+
+
+def test_records_are_equal_by_value_across_equal_presentations():
+    p, q = build_type_C_algebra(3, "RR"), build_type_C_algebra(3, "RR")
+    for kind, v in records(p).items():
+        w = records(q)[kind]
+        assert v is not w, kind
+        assert v == w and not v != w and hash(v) == hash(w), kind
+
+
 def test_letters_are_immutable():
+    """Letters, and every record: no field can be set or deleted, and no
+    attribute added."""
     c = Letter(build_type_C_algebra(3, "RR").arrows[0], 1)
     with pytest.raises(AttributeError):
         c.sign = -1
     assert c.sign == 1
+    for kind, value in records(build_type_C_algebra(3, "RR")).items():
+        field = value.__slots__[0]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, field) is before, kind
 
 
 def test_values_survive_pickle_and_deepcopy():
-    p = build_type_C_algebra(3, "RR")
-    w = parse_word(p, "a21~.a32~.e3.a32.a21")
-    band = parse_word(p, "e1.a21~.a32~.e3.a32.a21")
-    for value in (w, string_module(w), band_module(band, level=2)):
+    """Every record round-trips to an equal value of its type; a letter to
+    the interned letter itself."""
+    for kind, value in records(build_type_C_algebra(3, "RR")).items():
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-            assert clone == value and hash(clone) == hash(value)
+            assert type(clone) is type(value), kind
+            assert clone == value and hash(clone) == hash(value), kind
+    w = parse_word(build_type_C_algebra(3, "RR"), "a21~.a32~.e3.a32.a21")
     assert pickle.loads(pickle.dumps(w.letters[0])) is w.letters[0]
     assert copy.deepcopy(w.letters[0]) is w.letters[0]
 
