@@ -9,7 +9,6 @@ modules.
 from .algebra import (
     Arrow,
     Presentation,
-    admissible_vertices,
     build_type_C_algebra,
     validate_string_algebra,
 )
@@ -29,6 +28,7 @@ from .artrans import (
     index,
     is_minimal,
     minimal_strings,
+    orbit,
     ray,
     tau,
     tau_inv,
@@ -53,6 +53,7 @@ from .modules import (
     dim_vector,
     ext1_dim_locally_free,
     format_module,
+    free_rank_vector,
     hom_dim,
     hom_dim_modules,
     injective_string,
@@ -64,6 +65,7 @@ from .modules import (
     projective_string,
     rad_decomposition,
     rank_vector,
+    relations_vanish,
     simple_module,
     soc_quotient_decomposition,
     string_module,
@@ -78,7 +80,6 @@ from .roots import (
     coxeter,
     delta,
     enumerate_positive_roots,
-    forms,
     gamma,
     is_admissible_sequence,
     quadratic,

@@ -211,16 +211,3 @@ def validate_string_algebra(p: Presentation):
                 break
     return violations
 
-
-def admissible_vertices(p: Presentation):
-    """Vertices that are a sink or a source of the loop-free quiver Q^0."""
-    result = set()
-    for u in p.vertices:
-        incident_out = [a for a in spine_arrows(p) if a.source == u]
-        incident_in = [a for a in spine_arrows(p) if a.target == u]
-        if not incident_out and incident_in:
-            result.add((u, "sink"))
-        elif not incident_in and incident_out:
-            result.add((u, "source"))
-    return result
-

@@ -1,8 +1,9 @@
 """The Butler-Ringel Auslander-Reiten calculus for string algebras.
 
 Rays, hooks and cohooks, the AR-sequences (four hook/cohook cases, the
-indecomposable-middle case, band self-extensions), tau and tau^{-1},
-indices, minimal strings, the rank-(n-1) tube and component windows.
+indecomposable-middle case, band self-extensions), tau and tau^{-1} as
+one dual construction, their orbits, indices, minimal strings, the
+rank-(n-1) tube and component windows.
 
 Conventions.  ray(c) is the maximal string of letters of sign -c.sign that
 may follow the letter c (the paper's a_- is ray(a), (a^-1)_+ is ray(a^-1));
@@ -49,12 +50,11 @@ from .modules import (
     dim_sum,
     dim_vector,
     format_module,
+    free_rank_vector,
     glued_vertex,
     is_injective,
-    is_locally_free,
     is_projective,
     rad_decomposition,
-    rank_vector,
     simple_module,
     soc_quotient_decomposition,
     string_module,
@@ -323,8 +323,14 @@ def ar_sequence_starting_at(m):
 
 
 def _translate(m, sign, what):
-    """tau^{-1} (sign +1) or tau (sign -1) of a non-injective, resp.
-    non-projective, string module, by the ray case or one step per side."""
+    """tau^{-1} (sign +1) or tau (sign -1): zero on I_i, resp. P_i, the
+    identity on band classes, else the ray case or one step per side."""
+    if m is ZERO:
+        raise DomainError(f"{what} of the zero module")
+    if isinstance(m, BandModuleClass):
+        return m
+    if glued_vertex(m, sign) is not None:
+        return ZERO
     w = m.word
     matches = _ray_letters(w, -sign)
     if matches:
@@ -336,20 +342,21 @@ def _translate(m, sign, what):
 
 def tau_inv(m):
     """tau^{-1}: zero on injectives, identity on band classes; the dual of tau."""
-    if m is ZERO:
-        raise DomainError("tau_inv of the zero module")
-    if isinstance(m, BandModuleClass):
-        return m
-    return ZERO if is_injective(m) else _translate(m, 1, "tau_inv")
+    return _translate(m, 1, "tau_inv")
 
 
 def tau(m):
     """tau: zero on projectives, identity on band classes."""
-    if m is ZERO:
-        raise DomainError("tau of the zero module")
-    if isinstance(m, BandModuleClass):
-        return m
-    return ZERO if is_projective(m) else _translate(m, -1, "tau")
+    return _translate(m, -1, "tau")
+
+
+def orbit(m, step):
+    """m, step(m), step(step(m)), ... up to the first zero module, which is
+    not yielded.  A band class is fixed by tau and tau^-1, so its orbit never
+    ends: cut it with `islice`."""
+    while m is not ZERO:
+        yield m
+        m = step(m)
 
 
 _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}
@@ -426,19 +433,16 @@ def minimal_strings(p, max_len=12):
 
 def tube_bottom(p):
     """The bottom tau-orbit, starting from ray(a) for the spine arrow a at vertex 1
-    and following tau^{-1}."""
+    and following tau^{-1}; InternalCheckError unless n-1 steps of tau^{-1}
+    bring it back to its start."""
     if not is_ctilde(p):
         raise UnsupportedPresentation("tube construction assumes the C-tilde family")
     at_one = [a for a in spine_arrows(p) if 1 in (a.source, a.target)]
     start = string_module(ray(p, Letter(at_one[0], 1)))
-    orbit = [start]
-    cur = start
-    for _ in range(p.n - 2):
-        cur = tau_inv(cur)
-        orbit.append(cur)
-    if tau_inv(cur) != start:
+    walk = list(islice(orbit(start, tau_inv), p.n))
+    if len(walk) != p.n or walk[-1] != start:
         raise InternalCheckError("bottom tau-orbit does not close with period n-1")
-    return orbit
+    return walk[:-1]
 
 
 class ComponentGraph:
@@ -602,10 +606,8 @@ def classify_component(seed):
 
 def _node_label(m):
     dims = ",".join(map(str, dim_vector(m)))
-    if is_locally_free(m):
-        rank = "(" + ",".join(map(str, rank_vector(m))) + ")"
-    else:
-        rank = "-"
+    rank = free_rank_vector(m)
+    rank = "-" if rank is None else "(" + ",".join(map(str, rank)) + ")"
     return f"{format_module(m)} | ({dims}) | {rank}"
 
 
@@ -631,7 +633,7 @@ def component_to_json(g: ComponentGraph):
             {
                 "id": k,
                 "dim": list(dim_vector(g.nodes[k])),
-                "rank": list(rank_vector(g.nodes[k])) if is_locally_free(g.nodes[k]) else None,
+                "rank": None if (r := free_rank_vector(g.nodes[k])) is None else list(r),
             }
             for k in sorted(g.nodes)
         ],

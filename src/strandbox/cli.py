@@ -5,7 +5,7 @@ strings, bands, minimal, roots and verify-gls take table|json; component
 takes dot|json; tube takes table|json|dot; tau, classify and
 verify-coxeter print plain text and take no --format.  Output goes to
 stdout, diagnostics to stderr; exit code 0 on success, 1 on a failed
-verification, 2 on usage errors.
+verification or a failed internal check of the calculus, 2 on usage errors.
 The environment variable STRANDBOX_FIELD (rat | fp:<prime>, the prime at
 most 2^31 - 1) selects the base field for Hom/Ext computations.
 """
@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .algebra import build_type_C_algebra, normalize_orientation
 from .artrans import (
@@ -26,7 +27,7 @@ from .artrans import (
     minimal_strings,
     tube_rank,
 )
-from .errors import DomainError, StrandboxError
+from .errors import DomainError, InternalCheckError, StrandboxError
 from .linalg import scalar_from_spec
 from .modules import ZERO, dim_vector, format_module, parse_module, rank_vector
 from .roots import cartan, closed_form_positive_roots, enumerate_positive_roots
@@ -80,16 +81,13 @@ MAX_POWER = 1000  # bounds the run: a step costs time linear in the word, which 
 
 
 def cmd_tau(args):
-    if abs(args.power) > MAX_POWER:
-        raise DomainError(f"|--power| must be at most {MAX_POWER}, not {abs(args.power)}")
-    p = _presentation(args)
-    m = parse_module(p, args.module)
+    k = abs(args.power)
+    if k > MAX_POWER:
+        raise DomainError(f"|--power| must be at most {MAX_POWER}, not {k}")
+    m = parse_module(_presentation(args), args.module)
     step = artrans.tau if args.power >= 0 else artrans.tau_inv
-    for _ in range(abs(args.power)):
-        if m is ZERO:
-            break
-        m = step(m)
-    print(format_module(m))
+    # the k-th module of the orbit, or zero when the orbit ends before it
+    print(format_module(next(islice(artrans.orbit(m, step), k, None), ZERO)))
     return 0
 
 
@@ -280,7 +278,7 @@ def main(argv=None):
         return args.fn(args)
     except StrandboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InternalCheckError) else 2
 
 
 if __name__ == "__main__":

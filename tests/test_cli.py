@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from strandbox import verify
 from strandbox.cli import MAX_POWER, main
 from strandbox.linalg import MAX_PRIME
 
@@ -26,6 +27,27 @@ def test_tau_power(capsys):
     code, out, _ = run(capsys, "tau", "--n", "4", "--orient", "RRR", "triv(2)", "--power", "-1")
     assert code == 0
     assert out.strip() == "e1~.a21~.a32~.a43~.e4~"
+
+
+def test_tau_power_past_a_projective_is_zero_and_power_zero_is_the_module(capsys):
+    p2 = "e3.a32"  # P_2 for n = 3, RR
+    after = "e3.a32.a21.e1.a21~.a32~.e3~.a32"  # its tau^-1
+    for power, expected in (("1", "zero"), ("5", "zero"), ("0", p2), ("-1", after)):
+        code, out, _ = run(capsys, "tau", "--n", "3", "--orient", "RR", p2, "--power", power)
+        assert code == 0 and out.strip() == expected, power
+    code, out, _ = run(capsys, "tau", "--n", "3", "--orient", "RR", after)
+    assert code == 0 and out.strip() == p2
+    for power in ("0", "3", "-3"):
+        code, out, _ = run(capsys, "tau", "--n", "3", "--orient", "RR", "zero", "--power", power)
+        assert code == 0 and out.strip() == "zero", power
+
+
+def test_a_failed_internal_check_exits_1_not_as_a_usage_error(capsys, monkeypatch):
+    # a tau^-1 that fixes every module breaks the delta-shift check of the orbit walk
+    monkeypatch.setattr(verify, "tau_inv", lambda m: m)
+    code, out, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "positive multiple of delta" in err
 
 
 def test_roots_output(capsys):

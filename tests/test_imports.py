@@ -1,11 +1,13 @@
 """Every name a package module imports is used in that module, no module
-imports another module's private (underscored) names, every function
-the benchmark's tracer wraps by name is still defined where it looks, and
-importing the package loads neither `dataclasses` nor `inspect`.
+imports another module's private (underscored) names, every top-level
+function or class is used somewhere in the package or exported, every
+function the benchmark's tracer wraps by name is still defined where it
+looks, and importing the package loads neither `dataclasses` nor `inspect`.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
-dead import behind.  `__init__.py` is skipped: its imports are the exports.
-The tracer's table is read from its source; the benchmark is not imported.
+dead import behind.  The import checks skip `__init__.py`: its imports are
+the exports.  The tracer's table is read from its source; the benchmark is
+not imported.
 """
 
 import ast
@@ -14,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -52,6 +55,28 @@ def test_no_private_name_crosses_a_module_boundary(path):
 
 def test_the_check_sees_every_module():
     assert {p.name for p in MODULES} >= {"strings.py", "modules.py", "artrans.py", "verify.py"}
+
+
+def _names(node):
+    """Every name `node` refers to: plain names, attributes and imported names
+    (an import in a package module must be used, and `__init__`'s are the
+    exports)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    trees = {p.name: ast.parse(p.read_text()) for p in (*MODULES, PACKAGE / "__init__.py")}
+    refs = Counter(name for tree in trees.values() for name in _names(tree))
+    dead = [f"{module}:{node.name}" for module, tree in sorted(trees.items())
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if refs[node.name] - Counter(_names(node))[node.name] <= 0]
+    assert dead == []
 
 
 def _tracer_named():

@@ -12,7 +12,6 @@ from strandbox import (
     coxeter,
     delta,
     enumerate_positive_roots,
-    forms,
     gamma,
     is_admissible_sequence,
     quadratic,
@@ -83,8 +82,8 @@ def test_forms():
         y = tuple(rng.randint(-3, 3) for _ in range(3))
         lhs = ringel_form(cd, omega, x, y) + ringel_form(cd, omega, y, x)
         assert lhs == sym_form(cd, x, y)
-    out = forms(cd, delta(cd), delta(cd), omega)
-    assert out["q"] == 0 and out["sym"] == 0 and out["ringel"] == 0
+    dl = delta(cd)
+    assert quadratic(cd, dl) == sym_form(cd, dl, dl) == ringel_form(cd, omega, dl, dl) == 0
 
 
 def test_enumerate_examples():

@@ -18,6 +18,7 @@ from strandbox import (
     coxeter,
     delta,
     enumerate_positive_roots,
+    format_module,
     hom_dim,
     hom_dim_modules,
     projective_string,
@@ -26,6 +27,7 @@ from strandbox import (
     tau,
     tau_inv,
     tau_locally_free_rank_vectors,
+    tube_bottom,
 )
 from strandbox import verify
 from strandbox.linalg import is_irreducible_mod
@@ -168,6 +170,17 @@ def test_check_coxeter_reports_a_skipped_step_on_its_side(a3, monkeypatch, name,
 def test_check_tube_invariants(a4):
     rep = check_tube_invariants(a4)
     assert rep.passed, rep.problems
+
+
+def test_check_gls_reports_the_tube_invariants(a4, monkeypatch):
+    """check_gls takes its tube-bottom problems from check_tube_invariants:
+    with rigidity failing, each bottom module is reported once, and only at
+    a positive bound."""
+    monkeypatch.setattr(verify, "is_rigid", lambda m, char=0: False)
+    problems = check_gls(a4, 6).problems
+    assert problems == check_tube_invariants(a4).problems
+    assert problems == [f"bottom module {format_module(m)} is not rigid" for m in tube_bottom(a4)]
+    assert check_gls(a4, 0).problems == []
 
 
 def test_check_tube_invariants_all_orientations_n4():
