@@ -2,8 +2,9 @@
 
 Rays, hooks and cohooks, the AR-sequences (four hook/cohook cases, the
 indecomposable-middle case, band self-extensions), tau and tau^{-1} as
-one dual construction, their orbits, indices, minimal strings, the
-rank-(n-1) tube and component windows.
+one dual construction, their orbits, the AR-neighbours on either side of a
+module (which indices, minimal strings, the rank-(n-1) tube and component
+windows read).
 
 Conventions.  ray(c) is the maximal string of letters of sign -c.sign that
 may follow the letter c (the paper's a_- is ray(a), (a^-1)_+ is ray(a^-1));
@@ -359,14 +360,30 @@ def orbit(m, step):
         m = step(m)
 
 
+def neighbours(m, sign):
+    """The modules with an irreducible map from m (sign +1) or into m (sign
+    -1), each as often as it occurs, with tau^{-1} m, resp. tau m.
+
+    They are the middle terms of the one AR-sequence starting at m, resp. at
+    tau m.  I_i starts none, and the summands of I_i / soc I_i stand in, with
+    ZERO for its translate; dually for P_i, the summands of rad P_i.  A band
+    module's one sequence both starts and ends at it.
+    """
+    start = m if sign > 0 else tau(m)
+    seq = None if start is ZERO else ar_sequence_starting_at(start)
+    if seq is None:
+        parts = soc_quotient_decomposition if sign > 0 else rad_decomposition
+        return tuple(parts(m.word.presentation, glued_vertex(m, sign))), ZERO
+    return seq.middle, seq.right if sign > 0 else start
+
+
 _INDEX_SET = {(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)}
 
 
 def index(w):
-    """(left, right) irreducible-map counts of M(w) in the AR-quiver."""
+    """(left, right): the numbers of irreducible maps into and out of M(w)."""
     m = string_module(w)
-    arrows, _ = mesh_arrows(m)
-    idx = (sum(b == m for _, b in arrows), sum(a == m for a, _ in arrows))
+    idx = tuple(len(neighbours(m, s)[0]) for s in (-1, 1))
     if idx not in _INDEX_SET:
         raise InternalCheckError(f"index {idx} outside the admissible set")
     return idx
@@ -474,7 +491,7 @@ def tube_rows(p):
         yield row
         up = []
         for x in row:
-            ups = [mid for mid in ar_sequence_starting_at(x).middle if mid not in below]
+            ups = [mid for mid in neighbours(x, 1)[0] if mid not in below]
             if len(ups) != 1:
                 raise InternalCheckError("tube ray step is not unique")
             up.append(ups[0])
@@ -491,7 +508,7 @@ def tube_rank(p, levels=None):
     g = ComponentGraph("TubeRank", p.n - 1, {format_module(m): m for m in rows[0]}, set(), set(),
                        rows=rows)
     for x in chain.from_iterable(rows[:-1]):
-        _add_arrows(g, *_mesh(ar_sequence_starting_at(x)))
+        _add_mesh(g, x, 1)
     return g
 
 
@@ -499,51 +516,20 @@ def tube_rank(p, levels=None):
 # components
 # ---------------------------------------------------------------------------
 
-def _mesh(seq):
-    """The arrows of an AR-sequence and its translation arrow, as module pairs."""
-    arrows = [(seq.left, mid) for mid in seq.middle] + [(mid, seq.right) for mid in seq.middle]
-    return arrows, [(seq.left, seq.right)]
-
-
-def mesh_arrows(m):
-    """The AR quiver around m as module pairs: (arrows, translation arrows).
-
-    These are the meshes of the AR-sequences starting and ending at m.  An
-    injective m starts none; the socle-quotient summands of m stand in for
-    its middle terms.  Dually a projective m ends none, and its radical
-    summands stand in.  A band module's one sequence both starts and ends
-    at m.
-    """
-    arrows, translations = [], []
-    seqs = []
-    seq = ar_sequence_starting_at(m)
-    if seq is None:
-        p = m.word.presentation
-        arrows += [(m, s) for s in soc_quotient_decomposition(p, glued_vertex(m, 1))]
-    else:
-        seqs.append(seq)
-    if is_projective(m):
-        p = m.word.presentation
-        arrows += [(r, m) for r in rad_decomposition(p, glued_vertex(m, -1))]
-    else:
-        seqs.append(ar_sequence_starting_at(tau(m)))
-    for seq in seqs:
-        a, t = _mesh(seq)
-        arrows += a
-        translations += t
-    return arrows, translations
-
-
-def _add_arrows(g, arrows, translations):
-    """Add module-pair arrows to g by node key; returns the modules new to g."""
+def _add_mesh(g, m, sign):
+    """Add to g, by node key, the mesh on one side of m: the arrows from m to
+    its neighbours and from them to tau^{-1} m, with the translation arrow
+    (sign +1), or the same read backwards from tau m (sign -1).  Returns the
+    modules new to g."""
+    mids, t = neighbours(m, sign)
     key = format_module
-    g.edges.update((key(a), key(b)) for a, b in arrows)
-    g.tau_edges.update((key(a), key(b)) for a, b in translations)
-    new = []
-    for m in chain.from_iterable(arrows + translations):
-        if key(m) not in g.nodes:
-            g.nodes[key(m)] = m
-            new.append(m)
+    g.edges.update((key(m), key(x))[::sign] for x in mids)
+    if t is not ZERO:
+        g.edges.update((key(x), key(t))[::sign] for x in mids)
+        g.tau_edges.add((key(m), key(t))[::sign])
+        mids += (t,)
+    new = [x for x in dict.fromkeys(mids) if key(x) not in g.nodes]
+    g.nodes.update((key(x), x) for x in new)
     return new
 
 
@@ -560,21 +546,15 @@ def build_component(seed, radius):
     frontier, d = [seed], 0
     while frontier and d < radius:
         d += 1
-        frontier = [nb for m in frontier for nb in _add_arrows(g, *mesh_arrows(m))]
+        frontier = [nb for m in frontier for s in (1, -1) for nb in _add_mesh(g, m, s)]
         g.dist.update((format_module(nb), d) for nb in frontier)
     return g
-
-
-def irreducible_neighbors(m):
-    """AR-quiver neighbors of m along irreducible maps (tau-translates excluded)."""
-    arrows, _ = mesh_arrows(m)
-    return [b if a == m else a for a, b in arrows if m in (a, b)]
 
 
 def _descend_to_minimal(m):
     """Follow strictly dimension-decreasing irreducible maps to a minimal module."""
     while True:
-        smaller = [nb for nb in irreducible_neighbors(m)
+        smaller = [nb for s in (1, -1) for nb in neighbours(m, s)[0]
                    if isinstance(nb, StringModule) and dim_sum(nb) < dim_sum(m)]
         if not smaller:
             return m
@@ -582,11 +562,15 @@ def _descend_to_minimal(m):
 
 
 def classify_component(seed):
-    """Component kind of the seed: descends to a minimal string module and
-    reads off its index type (exact, no search radius needed)."""
+    """Component kind of the seed in the C-tilde classification: descends to
+    a minimal string module and reads off its index type (exact, no search
+    radius needed)."""
     if seed is ZERO:
         raise DomainError("cannot classify the zero module")
-    if isinstance(seed, BandModuleClass):
+    band = isinstance(seed, BandModuleClass)
+    if not is_ctilde((seed.band if band else seed.word).presentation):
+        raise UnsupportedPresentation("the component classification assumes the C-tilde family")
+    if band:
         return "HomogeneousTube", 1
     base = _descend_to_minimal(seed)
     if not is_minimal(base.word):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -47,11 +48,13 @@ from strandbox import (
     tube_rank,
 )
 from strandbox import artrans
-from strandbox.artrans import irreducible_neighbors
+from strandbox.artrans import neighbours
+from strandbox.errors import UnsupportedPresentation
 from strandbox.modules import dim_sum
 
 from conftest import all_orientations
 from oracles import fails_tau_local_freeness, maximal_ray, string_ok
+from test_fast_paths import KRONECKER
 
 W1 = "a21~.a32~.e3.a32.a21"
 
@@ -242,6 +245,29 @@ def test_index_set_and_absent_types(a3, a4_rrl):
     assert (0, 1) not in seen and (1, 0) not in seen
 
 
+def test_index_counts_each_map_once_when_tau_fixes_the_module():
+    """On the Kronecker quiver M(a) = tau M(a) lies in a rank-1 tube: the one
+    AR-sequence starting at M(a) also ends there, and its maps count once."""
+    assert index(parse_word(KRONECKER, "a")) == (1, 1)
+    assert index(parse_word(KRONECKER, "b")) == (1, 1)
+    assert index(parse_word(KRONECKER, "a.b~.a")) == (2, 2)
+
+
+@pytest.mark.parametrize("orient", all_orientations(3) + all_orientations(4))
+def test_neighbours_are_dual(orient):
+    """y has an irreducible map from x exactly as often as x has one into y,
+    and the translates are tau^-1 x and tau x."""
+    p = build_type_C_algebra(len(orient) + 1, orient)
+    mods = [string_module(w) for w in enumerate_strings(p, 6)]
+    mods += [band_module(b, level=level) for b in enumerate_bands(p, 1) for level in (1, 2)]
+    for x in mods:
+        for sign, translate in ((1, tau_inv), (-1, tau)):
+            mids, t = neighbours(x, sign)
+            assert t == translate(x)
+            for y, k in Counter(mids).items():
+                assert Counter(neighbours(y, -sign)[0])[x] == k
+
+
 def test_minimal_examples(a3):
     assert is_minimal(simple_module(a3, 2).word)
     assert not is_minimal(projective_string(a3, 1).word)
@@ -253,7 +279,7 @@ def test_minimal_matches_local_minimum(a3):
     # minimal <=> strict local dimension minimum among irreducible-map neighbors
     for w in enumerate_strings(a3, 7):
         m = string_module(w)
-        local_min = all(dim_sum(nb) > dim_sum(m) for nb in irreducible_neighbors(m))
+        local_min = all(dim_sum(nb) > dim_sum(m) for s in (1, -1) for nb in neighbours(m, s)[0])
         assert is_minimal(w) == local_min, format_word(w)
 
 
@@ -425,6 +451,16 @@ def test_classify_kinds(a3):
     assert classify_component(string_module(parse_word(a3, W1))) == ("ZAInfInf", None)
     b = band_module(next(iter(enumerate_bands(a3, 1))), level=3)
     assert classify_component(b) == ("HomogeneousTube", 1)
+
+
+def test_components_are_classified_only_in_the_ctilde_family():
+    m = string_module(parse_word(KRONECKER, "a"))
+    with pytest.raises(UnsupportedPresentation):
+        classify_component(m)
+    with pytest.raises(UnsupportedPresentation):
+        build_component(m, 1)
+    with pytest.raises(UnsupportedPresentation):
+        classify_component(band_module(parse_word(KRONECKER, "a.b~")))
 
 
 def test_za_window_has_no_tau_locally_free_module(a3):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no module
 imports another module's private (underscored) names, every top-level
-function or class is used somewhere in the package or exported, every
+function or class is used somewhere in the package or exported, only
+`artrans.neighbours` reads AR-sequences inside `artrans`, every
 function the benchmark's tracer wraps by name is still defined where it
 looks, and importing the package loads neither `dataclasses` nor `inspect`.
 
@@ -77,6 +78,16 @@ def test_every_top_level_definition_is_used_or_exported():
             for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             if refs[node.name] - Counter(_names(node))[node.name] <= 0]
     assert dead == []
+
+
+def test_only_neighbours_builds_ar_sequences_in_artrans():
+    """Every AR-neighbour question in `artrans` goes through `neighbours`:
+    no other function there calls `ar_sequence_starting_at`."""
+    tree = ast.parse((PACKAGE / "artrans.py").read_text())
+    callers = {node.name for node in tree.body
+               if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None)
+                      == "ar_sequence_starting_at" for sub in ast.walk(node))}
+    assert callers == {"neighbours"}
 
 
 def _tracer_named():
