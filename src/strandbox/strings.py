@@ -407,32 +407,28 @@ def enumerate_bands(p, max_dl):
     """All rho'-classes of bands of delta-length <= max_dl (C-tilde only),
     as a tuple; cached per (p, max_dl).
 
-    Generated from the standard form w0^-1 en^± w0 e1^± ... w0 e1^±, which
-    exhausts all bands of the family.
+    A band of delta-length t is a primitive cyclic word of t atoms
+    w0^-1 en^± w0 e1^±, up to inversion.  Each class is canonicalised once,
+    from its Lyndon words (primitive, least of their rotations); the set
+    merges a word with its inverse.  Every primitive atom word is a band:
+    the only relations are e1^2 and en^2, each loop letter stands between
+    spine letters, w0^-1 meets w0 only across a loop letter, and a period
+    of the letters keeps en on en, so is a multiple of the 2n-letter atom.
     """
     if not is_ctilde(p):
         raise UnsupportedPresentation("band enumeration requires the C-tilde family")
     if max_dl < 1:
         raise DomainError("max_dl must be >= 1")
     w0 = spine_walk_word(p)
-    w0_inv = w0.inverse
     e1 = arrow_named(p)["e1"]
     en = arrow_named(p)[f"e{p.n}"]
+    atoms = [(*w0.inverse.letters, Letter(en, s), *w0.letters, Letter(e1, s1))
+             for s, s1 in product((1, -1), repeat=2)]
     seen = set()
-    for m in range(1, max_dl + 1):
-        for signs in product((1, -1), repeat=2 * m):
-            letters = []
-            for j in range(m):
-                letters.extend(w0_inv.letters)
-                letters.append(Letter(en, signs[2 * j]))
-                letters.extend(w0.letters)
-                letters.append(Letter(e1, signs[2 * j + 1]))
-            cand = word(p, letters)
-            if not is_band(cand):
-                continue
-            if {c.sign for c in cand.letters} != {1, -1}:
-                raise InternalCheckError("band without both letter directions")
-            seen.add(canonical_band(cand))
+    for t in range(1, max_dl + 1):
+        for ks in product(range(4), repeat=t):
+            if all(ks < ks[i:] + ks[:i] for i in range(1, t)):
+                seen.add(canonical_band(Band(p, sum((atoms[k] for k in ks), ()))))
     return tuple(sorted(seen, key=lambda b: (len(b.letters), tuple(map(letter_key, b.letters)))))
 
 

@@ -11,13 +11,15 @@ for Q, so that it shares no arithmetic with the library's fraction-free
 integer elimination, and over ints mod p for GF(p).
 
 The last oracles are the library's earlier implementations of paths it now
-takes faster: canonical forms as a `min` over every candidate word, tau^-1
+takes faster: canonical forms as a `min` over every candidate word, the
+C-tilde bands by a sweep over every sign word of the standard form, tau^-1
 read off the whole AR-sequence, local freeness counted by a generator per
 loop vertex, and the hook and cohook steps taken on the right end only, the
 left end being the right end of the inverse word.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from strandbox import (
     ZERO,
@@ -29,9 +31,21 @@ from strandbox import (
     tau,
     tau_inv,
 )
+from strandbox.algebra import arrow_named
 from strandbox.artrans import _rays, ar_sequence_starting_at, ray
 from strandbox.errors import InternalCheckError
-from strandbox.strings import Band, Letter, StringWord, can_append, word, word_sort_key
+from strandbox.strings import (
+    Band,
+    Letter,
+    StringWord,
+    can_append,
+    canonical_band,
+    is_band,
+    letter_key,
+    spine_walk_word,
+    word,
+    word_sort_key,
+)
 
 
 def _arrow_maps(p):
@@ -267,6 +281,25 @@ def canonical_band_by_min(b):
         for i in range(m):
             candidates.append(letters[i:] + letters[:i])
     return Band(b.presentation, min(candidates, key=lambda ls: tuple(c.key for c in ls)))
+
+
+def bands_by_sweep(p, max_dl):
+    """The bands of delta-length <= max_dl (C-tilde): every sign word of the
+    standard form w0^-1 en^± w0 e1^± ... w0 e1^±, kept if `is_band`,
+    canonicalised, deduplicated and sorted as `enumerate_bands` sorts."""
+    w0 = spine_walk_word(p)
+    e1, en = arrow_named(p)["e1"], arrow_named(p)[f"e{p.n}"]
+    seen = set()
+    for t in range(1, max_dl + 1):
+        for signs in product((1, -1), repeat=2 * t):
+            letters = []
+            for j in range(t):
+                letters += [*w0.inverse.letters, Letter(en, signs[2 * j]),
+                            *w0.letters, Letter(e1, signs[2 * j + 1])]
+            cand = word(p, letters)
+            if is_band(cand):
+                seen.add(canonical_band(cand))
+    return tuple(sorted(seen, key=lambda b: (len(b.letters), tuple(map(letter_key, b.letters)))))
 
 
 def tau_inv_by_ar_sequence(m):

@@ -6,7 +6,8 @@ orientation with n = 3, 4, 5 and on the Kronecker quiver, whose two parallel
 arrows tie in every letter order that does not look at arrow names.  The
 hook and cohook steps at both ends, `tau` and `tau_inv` are also compared
 on a linear A_4 with a relation of length 3, where an added letter must pass
-the window check.
+the window check.  `enumerate_bands` is compared with the sweep over every
+sign word of the standard form on every orientation with n = 3, 4, 5.
 """
 
 import itertools
@@ -43,6 +44,7 @@ from strandbox.strings import Band, Letter, string_word, trivial_word, word
 from oracles import (
     add_left_by_inversion,
     add_right_by_inversion,
+    bands_by_sweep,
     canonical_band_by_min,
     canonical_string_by_min,
     delete_left_by_inversion,
@@ -123,6 +125,14 @@ def test_canonical_band_matches_the_min_oracle(p):
         expected = canonical_band_by_min(b)
         for r in rotations(b):
             assert canonical_band(r) == canonical_band_by_min(r) == expected, r
+
+
+@pytest.mark.parametrize("p", CTILDE, ids=ids)
+def test_enumerate_bands_matches_the_sweep_oracle(p):
+    """The same band tuple, in the same order: delta-length <= 5 for n = 3,
+    <= 4 for n = 4 and 5."""
+    max_dl = 5 if p.n == 3 else 4
+    assert enumerate_bands(p, max_dl) == bands_by_sweep(p, max_dl)
 
 
 def _outcome(fn, *args):

@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, no module
 imports another module's private (underscored) names, every top-level
 function or class is used somewhere in the package or exported, only
-`artrans.neighbours` reads AR-sequences inside `artrans`, every
+`artrans.neighbours` reads AR-sequences inside `artrans`, only
+`verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
+that the expected band count stays independent of the enumeration), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, and importing the package loads neither `dataclasses` nor `inspect`.
 
@@ -80,14 +82,24 @@ def test_every_top_level_definition_is_used_or_exported():
     assert dead == []
 
 
+def _callers(module, name):
+    """The top-level definitions of `module` that call `name`."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    return {node.name for node in tree.body
+            if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name
+                   for sub in ast.walk(node))}
+
+
 def test_only_neighbours_builds_ar_sequences_in_artrans():
     """Every AR-neighbour question in `artrans` goes through `neighbours`:
     no other function there calls `ar_sequence_starting_at`."""
-    tree = ast.parse((PACKAGE / "artrans.py").read_text())
-    callers = {node.name for node in tree.body
-               if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None)
-                      == "ar_sequence_starting_at" for sub in ast.walk(node))}
-    assert callers == {"neighbours"}
+    assert _callers("artrans.py", "ar_sequence_starting_at") == {"neighbours"}
+
+
+def test_only_the_witness_table_enumerates_bands_in_verify():
+    """`check_gls` counts band classes by `_band_classes`, not by a second
+    call of `enumerate_bands`, so a class the enumeration loses shows."""
+    assert _callers("verify.py", "enumerate_bands") == {"tau_locally_free_rank_vectors"}
 
 
 def _tracer_named():

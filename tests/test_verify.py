@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,8 @@ from strandbox import (
     classify_component,
     coxeter,
     delta,
+    delta_length,
+    enumerate_bands,
     enumerate_positive_roots,
     format_module,
     hom_dim,
@@ -129,6 +132,34 @@ def test_check_gls_imaginary_structure(a3):
     # factorizations of m=2 over each dl-1 band: (s,l) in {(1,2),(2,1)};
     # plus one dl-2 class exists per sign pattern at this bound
     assert len([w for w in ws2 if w.family == "tube"]) == 2
+
+
+def test_check_gls_catches_a_lost_band_class(monkeypatch):
+    """The expected band count does not come from `enumerate_bands`, so a
+    class it loses is reported."""
+    real = verify.enumerate_bands
+    monkeypatch.setattr(verify, "enumerate_bands", lambda p, max_dl: real(p, max_dl)[:-1])
+    report = check_gls(build_type_C_algebra(3, "RL"), 8)
+    assert not report.passed
+    assert "imaginary root (2, 4, 2): expected 7 band witnesses, got 6" in report.problems
+
+
+def test_band_classes_are_half_the_lyndon_words():
+    """Witt's count against the Lyndon words of each length over four letters,
+    counted one by one."""
+    counts = [verify._band_classes(t) for t in range(1, 9)]
+    assert counts == [2, 3, 10, 30, 102, 335, 1170, 4080]
+    lyndon = [sum(all(ks < ks[i:] + ks[:i] for i in range(1, t))
+                  for ks in product(range(4), repeat=t)) for t in range(1, 9)]
+    assert lyndon == [4, 6, 20, 60, 204, 670, 2340, 8160] == [2 * c for c in counts]
+
+
+@pytest.mark.parametrize("orientation", all_orientations(3))
+def test_band_classes_match_the_enumeration_per_delta_length(orientation):
+    tally = [0] * 7
+    for b in enumerate_bands(build_type_C_algebra(3, orientation), 6):
+        tally[delta_length(b)] += 1
+    assert tally[1:] == [verify._band_classes(t) for t in range(1, 7)]
 
 
 def test_gls_report_serialization(a3):
