@@ -20,13 +20,14 @@ letter whose side at its target is its tag.  Sides 2-colour the letters:
 two distinct letters c, d ending at one vertex have opposite sides exactly
 when d^-1.c is a string.
 
-Each side step is one lookup in a table of ends and one tuple splice; no
-word is inverted.  Per presentation, the right end maps (end letter e,
-sign s) to the tails c.ray(c) of the letters c of sign s that may follow e
-(read off the successor table of `strings`), and to those tails that end
-in e, which a deletion compares with the end of w.  The left end is the
-right end with every tail inverted, keyed by the inverse of w's first
-letter: the last letter of w^-1.
+A translation reads one table per presentation and hashes its word once:
+the table maps the special words (P_i, I_i, the ray classes) and holds two
+ends, in which each side step is one lookup and one tuple splice.  The
+right end maps (end letter e, sign s) to the tails c.ray(c) of the letters
+c of sign s that may follow e (the successor table of `strings`), and to
+those tails that end in e, which a deletion compares with the end of w.
+The left end holds the tails inverted, keyed by the inverse of w's first
+letter, so no word is inverted.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ from .modules import (
     dim_vector,
     format_module,
     free_rank_vector,
-    glued_vertex,
-    is_injective,
-    is_projective,
+    glued_table,
     rad_decomposition,
     simple_module,
     soc_quotient_decomposition,
@@ -110,32 +109,9 @@ def _sides(p):
     return side
 
 
-class _Rays(Record):
-    """The rays of one presentation:
-
-    ray       letter c -> ray(c)
-    side      letter c -> c's side at its target
-    by_class  ray(c) and ray(c)^-1 -> the letters c with that ray
-    """
-
-    __slots__ = ("ray", "side", "by_class")
-
-
-@lru_cache(maxsize=None)
-def _rays(p):
-    side = _sides(p)
-    ray, by_class = {}, {}
-    for c in side:
-        added = maximal_append(p, [c], -c.sign)
-        ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
-        for w in (ray[c], ray[c].inverse):
-            by_class.setdefault(w, []).append(c)
-    return _Rays(ray, side, by_class)
-
-
 def ray(p, c):
     """The maximal string of letters of sign -c.sign that may follow the letter c."""
-    return _rays(p).ray[c]
+    return _table(p).ray[c]
 
 
 def extendable(w: StringWord, sign):
@@ -174,11 +150,36 @@ class _End(Record):
     __slots__ = ("left", "adds", "deletes", "tails", "checked")
 
 
+class _Special(Record):
+    """The entry of a special word w: `glued` maps sign to i when M(w) is
+    I_i (+1) or P_i (-1), as in `glued_table`; `letters` are the c with
+    M(ray(c)) = M(w)."""
+
+    __slots__ = ("glued", "letters")
+
+
+class _Table(Record):
+    """The rays, special words and ends of one presentation:
+
+    ray      letter c -> ray(c)
+    side     letter c -> c's side at its target
+    special  canonical word of P_i, I_i or a ray class -> its `_Special`
+    right    the right end
+    left     the left end, the right one inverted
+    """
+
+    __slots__ = ("ray", "side", "special", "right", "left")
+
+
 @lru_cache(maxsize=None)
-def _ends(p):
-    """The right and the left end of p; the left is the right inverted."""
-    rays = _rays(p)
-    right = {c: _Tail(c, (c,) + r.letters, rays.side[c]) for c, r in rays.ray.items()}
+def _table(p):
+    side = _sides(p)
+    ray, special = {}, {w: _Special(dict(g), []) for w, g in glued_table(p).items()}
+    for c in side:
+        added = maximal_append(p, [c], -c.sign)
+        ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
+        special.setdefault(string_module(ray[c]).word, _Special({}, [])).letters.append(c)
+    right = {c: _Tail(c, (c,) + r.letters, side[c]) for c, r in ray.items()}
     left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag)
             for c, t in right.items()}
     checked = any(k != 2 for k in relation_lengths(p))
@@ -193,7 +194,13 @@ def _ends(p):
             deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
         return _End(is_left, adds, deletes, tails, checked)
 
-    return end(False, right), end(True, left)
+    return _Table(ray, side, special, end(False, right), end(True, left))
+
+
+def _lookup(w):
+    """w's table and w's entry in it, None unless the canonical w is special."""
+    table = _table(w.presentation)
+    return table, table.special.get(w)
 
 
 def _add(end, w, sign):
@@ -233,23 +240,23 @@ def _delete(end, w, sign):
 def add_right(w, sign):
     """w.c.ray(c) for the right letter c of the given sign (+1 adds a hook,
     -1 a cohook); None when w takes no such letter."""
-    return _add(_ends(w.presentation)[0], w, sign)
+    return _add(_table(w.presentation).right, w, sign)
 
 
 def delete_right(w, sign):
     """Strip a full tail c.ray(c) with c of the given sign (+1 deletes a
     hook, -1 a cohook); None when w does not end so."""
-    return _delete(_ends(w.presentation)[0], w, sign)
+    return _delete(_table(w.presentation).right, w, sign)
 
 
 def add_left(w, sign):
     """add_right on the inverse word, inverted back."""
-    return _add(_ends(w.presentation)[1], w, sign)
+    return _add(_table(w.presentation).left, w, sign)
 
 
 def delete_left(w, sign):
     """delete_right on the inverse word, inverted back."""
-    return _delete(_ends(w.presentation)[1], w, sign)
+    return _delete(_table(w.presentation).left, w, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +291,9 @@ def _step(end, w, sign):
     return -sign, v
 
 
-def _ray_letters(w, sign):
-    """The letters c of the given sign with M(ray(c)) = M(w)."""
-    return [c for c in _rays(w.presentation).by_class.get(w, ()) if c.sign == sign]
+def _ray_letters(entry, sign):
+    """The letters c of the given sign with M(ray(c)) = M(w), read off w's entry."""
+    return [c for c in entry.letters if c.sign == sign] if entry else ()
 
 
 def _only(results, what, w):
@@ -304,21 +311,20 @@ def ar_sequence_starting_at(m):
         if m.level > 1:
             middle.append(band_module(m.band, m.param, m.level - 1))
         return ARSequence(m, tuple(middle), m, "BandSelf")
-    if is_injective(m):
-        return None
     w = m.word
-    p = w.presentation
-    right_end, left_end = _ends(p)
-    matches = _ray_letters(w, -1)
+    table, entry = _lookup(w)
+    if entry and 1 in entry.glued:
+        return None
+    matches = _ray_letters(entry, -1)
     if matches:
         # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
-        mid, right = _only({(string_module(_add(left_end, ray(p, c), 1)),
-                             string_module(ray(p, c.inverse))) for c in matches},
+        mid, right = _only({(string_module(_add(table.left, table.ray[c], 1)),
+                             string_module(table.ray[c.inverse])) for c in matches},
                            "indecomposable-middle sequence", w)
         return ARSequence(m, (mid,), right, "IndecMiddle")
-    rsign, right = _step(right_end, w, 1)
-    lsign, left = _step(left_end, w, 1)
-    both = _step(left_end, right, 1)[1]
+    rsign, right = _step(table.right, w, 1)
+    lsign, left = _step(table.left, w, 1)
+    both = _step(table.left, right, 1)[1]
     middle = (string_module(left), string_module(right))
     return ARSequence(m, middle, string_module(both), _KIND[lsign] + _KIND[rsign])
 
@@ -330,15 +336,15 @@ def _translate(m, sign, what):
         raise DomainError(f"{what} of the zero module")
     if isinstance(m, BandModuleClass):
         return m
-    if glued_vertex(m, sign) is not None:
-        return ZERO
     w = m.word
-    matches = _ray_letters(w, -sign)
+    table, entry = _lookup(w)
+    if entry and sign in entry.glued:
+        return ZERO
+    matches = _ray_letters(entry, -sign)
     if matches:
-        return _only({string_module(ray(w.presentation, c.inverse)) for c in matches}, what, w)
-    right_end, left_end = _ends(w.presentation)
-    _, right = _step(right_end, w, sign)
-    return string_module(_step(left_end, right, sign)[1])
+        return _only({string_module(table.ray[c.inverse]) for c in matches}, what, w)
+    _, right = _step(table.right, w, sign)
+    return string_module(_step(table.left, right, sign)[1])
 
 
 def tau_inv(m):
@@ -373,7 +379,7 @@ def neighbours(m, sign):
     seq = None if start is ZERO else ar_sequence_starting_at(start)
     if seq is None:
         parts = soc_quotient_decomposition if sign > 0 else rad_decomposition
-        return tuple(parts(m.word.presentation, glued_vertex(m, sign))), ZERO
+        return tuple(parts(m.word.presentation, _lookup(m.word)[1].glued[sign])), ZERO
     return seq.middle, seq.right if sign > 0 else start
 
 
@@ -392,11 +398,11 @@ def index(w):
 def is_minimal(w):
     """Minimality of M(w): every incoming irreducible map surjective, every
     outgoing one injective; evaluated by the case characterization."""
-    m = string_module(w)
-    w = m.word
-    if is_projective(m) or is_injective(m):
+    w = string_module(w).word
+    entry = _lookup(w)[1]
+    if entry and entry.glued:
         return w.is_trivial
-    hook_ray, cohook_ray = (bool(_ray_letters(w, s)) for s in (1, -1))
+    hook_ray, cohook_ray = (bool(_ray_letters(entry, s)) for s in (1, -1))
     if hook_ray and cohook_ray:
         return True
     signs = (1,) if hook_ray else (-1,) if cohook_ray else (1, -1)

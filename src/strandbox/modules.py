@@ -193,15 +193,23 @@ def free_rank_vector(m):
     """The free ranks r_i of m, its dimensions halved at the loop vertices,
     or None when m is not locally free.  Locally free means e_iM free over
     H_i for all i: at a loop vertex the loop acts as a square-zero map of
-    rank dim_i/2, i.e. every visit is paired by a loop edge.  The walk and
-    the letters are each counted once, for both answers."""
+    rank dim_i/2, i.e. every visit is paired by a loop edge.  The letters
+    are counted once, for both answers: the walk visits each letter's
+    source, and a string also its first target."""
     w, d = _word_data(m)
     p = w.presentation
-    visits, uses = Counter(w.walk()), Counter(w.letters)
-    loops = _loop_letters(p)
-    if any(2 * sum(map(uses.__getitem__, ls)) != visits[v] for v, ls in loops.items()):
-        return None
-    return tuple(d * (visits[i] // 2 if i in loops else visits[i]) for i in p.vertices)
+    uses = Counter(w.letters)
+    visits = [0] * (p.n + 1)  # by vertex; vertex 0 is none
+    for c, k in uses.items():
+        visits[c.source] += k
+    if w.__class__ is StringWord:
+        visits[w.target] += 1
+    for v, ls in _loop_letters(p).items():
+        pairs = sum(map(uses.__getitem__, ls))
+        if 2 * pairs != visits[v]:
+            return None
+        visits[v] = pairs
+    return tuple([d * k for k in visits[1:]])
 
 
 def is_locally_free(m):
@@ -491,24 +499,22 @@ def soc_quotient_decomposition(p, i):
 
 
 @lru_cache(maxsize=None)
-def _glued_table(p, sign):
-    """Canonical word of P_i (sign -1) or I_i (sign +1) -> i."""
-    return {_glued(p, i, sign).word: i for i in p.vertices}
-
-
-def glued_vertex(m, sign):
-    """The vertex i with m = P_i (sign -1) or m = I_i (sign +1), else None."""
-    if not isinstance(m, StringModule):
-        return None
-    return _glued_table(m.word.presentation, sign).get(m.word)
+def glued_table(p):
+    """Canonical word of P_i or I_i -> {sign: i}, sign -1 for P_i and +1 for
+    I_i; a projective-injective word has both."""
+    table = {}
+    for i in p.vertices:
+        for sign in (-1, 1):
+            table.setdefault(_glued(p, i, sign).word, {})[sign] = i
+    return table
 
 
 def is_projective(m):
-    return glued_vertex(m, -1) is not None
+    return isinstance(m, StringModule) and -1 in glued_table(m.word.presentation).get(m.word, ())
 
 
 def is_injective(m):
-    return glued_vertex(m, 1) is not None
+    return isinstance(m, StringModule) and 1 in glued_table(m.word.presentation).get(m.word, ())
 
 
 # ---------------------------------------------------------------------------

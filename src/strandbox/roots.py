@@ -1,8 +1,8 @@
 """Affine C-tilde Cartan data, reflections, forms, roots, Coxeter transformations.
 
 Root vectors are integer tuples in the simple-root basis.  Positive roots are
-enumerated as the reflection closure of the simple roots intersected with the
-positive orthant and a height bound, together with the multiples of the
+enumerated as the closure of the simple roots under height-increasing
+reflections within a height bound, together with the multiples of the
 minimal imaginary root delta = (1,2,...,2,1).  The closed-form description via
 beta/gamma Coxeter orbits plus delta-shifted window sums is provided for
 cross-checking.
@@ -73,13 +73,7 @@ def reflect(cd, i, x):
 
 def sym_form(cd, x, y):
     """The symmetric bilinear form x^T (DC) y."""
-    total = 0
-    for i in range(cd.n):
-        if x[i]:
-            di = cd.d[i]
-            row = cd.rows[i]
-            total += x[i] * di * sum(row[j] * y[j] for j in range(cd.n))
-    return total
+    return sum(xi * di * sum(map(mul, row, y)) for xi, di, row in zip(x, cd.d, cd.rows) if xi)
 
 
 def quadratic(cd, x):
@@ -110,24 +104,35 @@ def ringel_form(cd, orientation, x, y):
 # ---------------------------------------------------------------------------
 
 def enumerate_positive_roots(cd, bound):
-    """Positive roots of height <= bound: reflection closure of the simple
-    roots within the positive orthant, united with the positive multiples of
-    delta."""
+    """Positive roots of height <= bound: the real ones, closed upward from
+    the simple roots by height-increasing reflections, united with the
+    positive multiples of delta.
+
+    Each root x carries its pairings p_i(x) = sum_j c_ij x_j, column i of C
+    for the simple root alpha_i.  s_i adds -p_i(x) to x_i, so it raises the
+    height exactly when p_i(x) < 0, and then keeps x positive; the pairings
+    of s_i x are those of x minus p_i(x) times column i.  The steps reach
+    every positive real root beta of height <= bound: if beta is not simple,
+    (beta|beta) = sum_i d_i beta_i p_i(beta) > 0 and beta >= 0 give an i
+    with beta_i > 0 and p_i(beta) > 0, so s_i beta is a positive real root
+    of lower height, and beta is one height-increasing step above it.  By
+    induction on the height, a chain of such steps within the bound leads
+    from a simple root up to beta.
+    """
     if bound < 0:
         raise DomainError("bound must be >= 0")
     dl = delta(cd)
-    found = set()
-    frontier = [simple_root(cd, i) for i in range(1, cd.n + 1) if height(simple_root(cd, i)) <= bound]
-    found.update(frontier)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(1, cd.n + 1):
-                y = reflect(cd, i, x)
-                if y not in found and is_nonnegative(y) and 0 < height(y) <= bound:
+    cols = list(zip(*cd.rows))
+    queue = [(simple_root(cd, i + 1), cols[i]) for i in range(cd.n)] if bound >= 1 else []
+    found = {x for x, _ in queue}
+    for x, pairs in queue:  # grows while it is read
+        room = bound - height(x)
+        for i, p in enumerate(pairs):
+            if 0 < -p <= room:
+                y = x[:i] + (x[i] - p,) + x[i + 1:]
+                if y not in found:
                     found.add(y)
-                    nxt.append(y)
-        frontier = nxt
+                    queue.append((y, tuple([a - p * c for a, c in zip(pairs, cols[i])])))
     for x in found:
         if quadratic(cd, x) not in (1, 2):
             raise InternalCheckError(f"real-root candidate {x} has bad length")

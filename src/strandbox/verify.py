@@ -191,6 +191,13 @@ def _orbit_witnesses(cd, start, step, back, bound):
     return [(r, *walked[r]) for r in inside]
 
 
+class _WitnessTable(dict):
+    """Rank vector -> witnesses; `bottom` is the tube's bottom row the table
+    walked, empty at bound 0."""
+
+    bottom = ()
+
+
 def tau_locally_free_rank_vectors(p, bound, char=0):
     """Map rank vector -> witnesses among tau-locally free modules of height
     <= bound, assembled from the four families and checked as they are built:
@@ -198,11 +205,13 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     tau and tau^-1) and each band module (locally free; in a homogeneous tube,
     so fixed by tau by construction) once.
     Band witnesses take the canonical parameter over the field of
-    characteristic `char`, so that each is a band module over that field."""
+    characteristic `char`, so that each is a band module over that field.
+    The table also holds, as `bottom`, the tube's bottom row it walked (a
+    tuple, empty at bound 0)."""
     if bound < 0:
         raise DomainError("bound must be >= 0")
     cd = cartan(p.n)
-    witnesses = {}
+    witnesses = _WitnessTable()
 
     def add(w, rv):
         witnesses.setdefault(rv, []).append(w)
@@ -214,6 +223,8 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
             add(Witness("preinjective", m, vertex=i, step=s), rv)
     if bound >= 1:
         for level, row in enumerate(tube_rows(p), start=1):
+            if level == 1:
+                witnesses.bottom = tuple(row)
             members = set(row)
             ranks = [free_rank_vector(m) for m in row]
             for m, rv in zip(row, ranks):
@@ -254,7 +265,8 @@ def check_gls(p, bound, char=0):
     """Compare rank vectors of tau-locally free modules with positive roots.
     m delta expects one band witness per band class of delta-length t (as
     many as `_band_classes(t)`), degree s and level l with t s l = m.  At a
-    positive bound the problems include those of `check_tube_invariants`."""
+    positive bound the problems include those of `check_tube_invariants`,
+    found on the bottom row the witness table walked."""
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
@@ -294,7 +306,7 @@ def check_gls(p, bound, char=0):
             matched_real[root] = ws[0]
 
     if bound >= 1:
-        problems += check_tube_invariants(p, char).problems
+        problems += _tube_problems(p, table.bottom, char)
 
     return GLSReport(p.n, p.orientation, bound, matched_real, matched_imaginary,
                      missing, extra, problems)
@@ -338,11 +350,9 @@ def check_coxeter_compatibility(p, seq, depth):
     return CheckReport("coxeter-compatibility", not problems, problems)
 
 
-def check_tube_invariants(p, char=0):
-    """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
-    itself checks that tau^-1 closes it with period n-1."""
+def _tube_problems(p, bottom, char):
+    """The problems of `check_tube_invariants` on the given bottom row."""
     problems = []
-    bottom = tube_bottom(p)
     n = p.n
     dims = [dim_vector(m) for m in bottom]
     dim_sum_vec = tuple(sum(col) for col in zip(*dims))
@@ -355,4 +365,11 @@ def check_tube_invariants(p, char=0):
     for m in bottom:
         if not is_rigid(m, char):
             problems.append(f"bottom module {format_module(m)} is not rigid")
+    return problems
+
+
+def check_tube_invariants(p, char=0):
+    """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
+    itself checks that tau^-1 closes it with period n-1."""
+    problems = _tube_problems(p, tube_bottom(p), char)
     return CheckReport("tube-invariants", not problems, problems)

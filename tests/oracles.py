@@ -32,7 +32,7 @@ from strandbox import (
     tau_inv,
 )
 from strandbox.algebra import arrow_named
-from strandbox.artrans import _rays, ar_sequence_starting_at, ray
+from strandbox.artrans import _table, ar_sequence_starting_at, ray
 from strandbox.errors import InternalCheckError
 from strandbox.strings import (
     Band,
@@ -320,6 +320,21 @@ def is_locally_free_by_generator(m):
     return True
 
 
+def free_rank_vector_by_walk(m):
+    """The free ranks by the walk: its visits per vertex, halved at the loop
+    vertices and scaled by the block size (level times parameter degree for
+    a band module); None where `is_locally_free_by_generator` finds m not
+    locally free."""
+    if not is_locally_free_by_generator(m):
+        return None
+    band = isinstance(m, BandModuleClass)
+    w = m.band if band else m.word
+    size = m.level * (len(m.param) - 1) if band else 1
+    walk = w.walk()
+    loops = {a.source for a in w.presentation.arrows if a.is_loop}
+    return tuple(size * walk.count(v) // (2 if v in loops else 1) for v in w.presentation.vertices)
+
+
 def _letters(p):
     return [Letter(a, s) for a in p.arrows for s in (1, -1)]
 
@@ -329,7 +344,7 @@ def add_right_by_inversion(w, sign):
     (a trivial word: the one whose side is its tag), tested letter by letter
     with `can_append`; None when there is none."""
     p = w.presentation
-    side = _rays(p).side
+    side = _table(p).side
     cand = [c for c in _letters(p) if c.sign == sign and c.target == w.source
             and can_append(p, w.letters, c) and (w.letters or side[c] == w.tag)]
     if len(cand) > 1:
@@ -346,7 +361,7 @@ def delete_right_by_inversion(w, sign):
     p, c = w.presentation, w.letters[k]
     if w.letters[k + 1:] != ray(p, c).letters:
         return None
-    return word(p, w.letters[:k]) if k else StringWord(p, (), c.target, _rays(p).side[c])
+    return word(p, w.letters[:k]) if k else StringWord(p, (), c.target, _table(p).side[c])
 
 
 def _inverted(fn):

@@ -1,13 +1,14 @@
 """The fast word and translation paths against their former implementations.
 
-`canonical_string`, `canonical_band`, `tau_inv`, `is_locally_free` and
-`rank_vector` are compared with the slow oracles in `oracles.py` on every
-orientation with n = 3, 4, 5 and on the Kronecker quiver, whose two parallel
-arrows tie in every letter order that does not look at arrow names.  The
-hook and cohook steps at both ends, `tau` and `tau_inv` are also compared
-on a linear A_4 with a relation of length 3, where an added letter must pass
-the window check.  `enumerate_bands` is compared with the sweep over every
-sign word of the standard form on every orientation with n = 3, 4, 5.
+`canonical_string`, `canonical_band`, `tau_inv`, `is_locally_free`,
+`rank_vector` and `free_rank_vector` are compared with the slow oracles in
+`oracles.py` on every orientation with n = 3, 4, 5 and on the Kronecker
+quiver, whose two parallel arrows tie in every letter order that does not
+look at arrow names.  The hook and cohook steps at both ends, `tau` and
+`tau_inv` are also compared on a linear A_4 with a relation of length 3,
+where an added letter must pass the window check.  `enumerate_bands` is
+compared with the sweep over every sign word of the standard form on every
+orientation with n = 3, 4, 5.
 """
 
 import itertools
@@ -23,11 +24,13 @@ from strandbox import (
     band_module,
     build_type_C_algebra,
     canonical_band,
+    canonical_simple_param,
     canonical_string,
     delete_left,
     delete_right,
     enumerate_bands,
     enumerate_strings,
+    free_rank_vector,
     is_locally_free,
     parse_band,
     rank_vector,
@@ -49,6 +52,7 @@ from oracles import (
     canonical_string_by_min,
     delete_left_by_inversion,
     delete_right_by_inversion,
+    free_rank_vector_by_walk,
     is_locally_free_by_generator,
     raw_string_class_count,
     raw_string_classes,
@@ -187,6 +191,17 @@ def test_is_locally_free_matches_the_generator_oracle(p):
     for m in modules:
         free = is_locally_free_by_generator(m)
         assert is_locally_free(m) == free == _has_a_rank_vector(m), m
+
+
+@pytest.mark.parametrize("p", ALL, ids=ids)
+def test_free_rank_vector_matches_the_walk_count(p):
+    """free_rank_vector's values against the walk's visits, on strings and
+    on band modules of three block sizes."""
+    modules = [string_module(w) for w in all_strings(p, 8)]
+    modules += [band_module(b, canonical_simple_param(s), level)
+                for b in bands(p) for s, level in ((1, 1), (1, 3), (2, 2))]
+    for m in modules:
+        assert free_rank_vector(m) == free_rank_vector_by_walk(m), m
 
 
 def test_tau_inv_refuses_an_ambiguous_ray_class(monkeypatch, a3):

@@ -107,11 +107,15 @@ def test_enumerate_closure_under_delta_shift():
 
 
 def test_enumerate_traversal_independence():
-    for n in (3, 4, 5):
+    """The upward closure against a depth-first closure under every
+    reflection, at n = 3..5 to bound 10 and at the sizes of the benchmark's
+    check_gls sweep."""
+    sizes = [(3, 10), (4, 10), (5, 10), (3, 14), (4, 14), (5, 14), (6, 20), (7, 21), (8, 28)]
+    for n, bound in sizes:
         cd = cartan(n)
-        mine = enumerate_positive_roots(cd, 10)
-        alt = reflection_closure_alt(cd, 10, reflect, delta(cd))
-        assert mine == alt
+        mine = enumerate_positive_roots(cd, bound)
+        alt = reflection_closure_alt(cd, bound, reflect, delta(cd))
+        assert mine == alt, (n, bound)
 
 
 def test_real_roots_within_q_criterion():

@@ -32,7 +32,7 @@ from strandbox import (
     tau_locally_free_rank_vectors,
     tube_bottom,
 )
-from strandbox import verify
+from strandbox import artrans, verify
 from strandbox.linalg import is_irreducible_mod
 
 from conftest import all_orientations
@@ -212,6 +212,28 @@ def test_check_gls_reports_the_tube_invariants(a4, monkeypatch):
     assert problems == check_tube_invariants(a4).problems
     assert problems == [f"bottom module {format_module(m)} is not rigid" for m in tube_bottom(a4)]
     assert check_gls(a4, 0).problems == []
+
+
+def test_check_gls_walks_the_tube_bottom_once(a4, monkeypatch):
+    """The tube invariants read the bottom row the witness table walked, at
+    every positive bound, also one that leaves bottom modules out of the
+    table; bound 0 walks no tube."""
+    calls = []
+
+    def counted(p, real=artrans.tube_bottom):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(artrans, "tube_bottom", counted)
+    monkeypatch.setattr(verify, "tube_bottom", counted)
+    for bound, walks in ((0, 0), (1, 1), (a4.n, 1), (2 * a4.n, 1)):
+        calls.clear()
+        assert check_gls(a4, bound).passed and len(calls) == walks, bound
+
+
+def test_the_witness_table_holds_the_tube_bottom(a4):
+    assert tau_locally_free_rank_vectors(a4, 0).bottom == ()
+    assert list(tau_locally_free_rank_vectors(a4, 1).bottom) == tube_bottom(a4)
 
 
 def test_check_tube_invariants_all_orientations_n4():
