@@ -52,6 +52,7 @@ from .modules import (
     dim_sum,
     dim_vector,
     format_module,
+    format_vector,
     free_rank_vector,
     glued_table,
     rad_decomposition,
@@ -469,21 +470,24 @@ def tube_bottom(p):
 
 
 class ComponentGraph:
-    """A window of an AR component: its kind and rank, nodes by text key,
-    arrows and translation arrows as key pairs; `rows` holds a tube window's
-    modules level by level, `dist` a component window's distance from the
-    seed per node key."""
+    """A window of an AR component: its kind and rank, arrows and
+    translation arrows as module pairs; `rows` holds a tube window's modules
+    level by level, `dist` a component window's distance from the seed per
+    module.  `nodes` maps each module's text to it, built on read."""
 
-    __slots__ = ("kind", "rank", "nodes", "edges", "tau_edges", "rows", "dist")
+    __slots__ = ("kind", "rank", "edges", "tau_edges", "rows", "dist")
 
-    def __init__(self, kind, rank, nodes, edges, tau_edges, rows=None, dist=None):
+    def __init__(self, kind, rank, edges, tau_edges, rows=None, dist=None):
         self.kind = kind
         self.rank = rank
-        self.nodes = nodes
         self.edges = edges
         self.tau_edges = tau_edges
         self.rows = rows
         self.dist = dist
+
+    @property
+    def nodes(self):
+        return {format_module(m): m for m in self.dist or chain.from_iterable(self.rows)}
 
 
 def tube_rows(p):
@@ -511,8 +515,7 @@ def tube_rank(p, levels=None):
     if levels < 1:
         raise DomainError("a tube window needs at least one level")
     rows = list(islice(tube_rows(p), levels))
-    g = ComponentGraph("TubeRank", p.n - 1, {format_module(m): m for m in rows[0]}, set(), set(),
-                       rows=rows)
+    g = ComponentGraph("TubeRank", p.n - 1, set(), set(), rows=rows)
     for x in chain.from_iterable(rows[:-1]):
         _add_mesh(g, x, 1)
     return g
@@ -523,20 +526,17 @@ def tube_rank(p, levels=None):
 # ---------------------------------------------------------------------------
 
 def _add_mesh(g, m, sign):
-    """Add to g, by node key, the mesh on one side of m: the arrows from m to
-    its neighbours and from them to tau^{-1} m, with the translation arrow
+    """Add to g the arrows of the mesh on one side of m: from m to its
+    neighbours and from them to tau^{-1} m, with the translation arrow
     (sign +1), or the same read backwards from tau m (sign -1).  Returns the
-    modules new to g."""
+    mesh's modules other than m."""
     mids, t = neighbours(m, sign)
-    key = format_module
-    g.edges.update((key(m), key(x))[::sign] for x in mids)
+    g.edges.update((m, x)[::sign] for x in mids)
     if t is not ZERO:
-        g.edges.update((key(x), key(t))[::sign] for x in mids)
-        g.tau_edges.add((key(m), key(t))[::sign])
+        g.edges.update((x, t)[::sign] for x in mids)
+        g.tau_edges.add((m, t)[::sign])
         mids += (t,)
-    new = [x for x in dict.fromkeys(mids) if key(x) not in g.nodes]
-    g.nodes.update((key(x), x) for x in new)
-    return new
+    return mids
 
 
 def build_component(seed, radius):
@@ -547,13 +547,13 @@ def build_component(seed, radius):
     if radius < 0:
         raise DomainError("radius must be >= 0")
     kind, rank = classify_component(seed)
-    g = ComponentGraph(kind, rank, {format_module(seed): seed}, set(), set(),
-                       dist={format_module(seed): 0})
+    g = ComponentGraph(kind, rank, set(), set(), dist={seed: 0})
     frontier, d = [seed], 0
     while frontier and d < radius:
         d += 1
-        frontier = [nb for m in frontier for s in (1, -1) for nb in _add_mesh(g, m, s)]
-        g.dist.update((format_module(nb), d) for nb in frontier)
+        mesh = dict.fromkeys(x for m in frontier for s in (1, -1) for x in _add_mesh(g, m, s))
+        frontier = [x for x in mesh if x not in g.dist]
+        g.dist.update((x, d) for x in frontier)
     return g
 
 
@@ -594,21 +594,23 @@ def classify_component(seed):
 # exports
 # ---------------------------------------------------------------------------
 
-def _node_label(m):
-    dims = ",".join(map(str, dim_vector(m)))
-    rank = free_rank_vector(m)
-    rank = "-" if rank is None else "(" + ",".join(map(str, rank)) + ")"
-    return f"{format_module(m)} | ({dims}) | {rank}"
+def _text_view(g):
+    """g's modules as (text, dimension vector, free rank vector or None) in
+    the order of the texts, and its arrows and translation arrows as sorted
+    text pairs."""
+    texts = {m: k for k, m in sorted(g.nodes.items())}
+    nodes = [(k, dim_vector(m), free_rank_vector(m)) for m, k in texts.items()]
+    return nodes, *(sorted([texts[a], texts[b]] for a, b in e) for e in (g.edges, g.tau_edges))
 
 
 def component_to_dot(g: ComponentGraph):
+    nodes, edges, tau_edges = _text_view(g)
     lines = ["digraph component {", '  node [shape=box, fontsize=10];']
-    for k in sorted(g.nodes):
-        lines.append(f'  "{k}" [label="{_node_label(g.nodes[k])}"];')
-    for a, b in sorted(g.edges):
-        lines.append(f'  "{a}" -> "{b}";')
-    for a, b in sorted(g.tau_edges):
-        lines.append(f'  "{a}" -> "{b}" [style=dashed, constraint=false];')
+    for k, d, r in nodes:
+        rank = "-" if r is None else format_vector(r)
+        lines.append(f'  "{k}" [label="{k} | {format_vector(d)} | {rank}"];')
+    lines += (f'  "{a}" -> "{b}";' for a, b in edges)
+    lines += (f'  "{a}" -> "{b}" [style=dashed, constraint=false];' for a, b in tau_edges)
     lines.append("}")
     return "\n".join(lines)
 
@@ -616,18 +618,13 @@ def component_to_dot(g: ComponentGraph):
 def component_to_json(g: ComponentGraph):
     import json
 
+    nodes, edges, tau_edges = _text_view(g)
     doc = {
         "kind": g.kind,
         "rank": g.rank,
-        "nodes": [
-            {
-                "id": k,
-                "dim": list(dim_vector(g.nodes[k])),
-                "rank": None if (r := free_rank_vector(g.nodes[k])) is None else list(r),
-            }
-            for k in sorted(g.nodes)
-        ],
-        "edges": sorted(list(e) for e in g.edges),
-        "tau_edges": sorted(list(e) for e in g.tau_edges),
+        "nodes": [{"id": k, "dim": list(d), "rank": None if r is None else list(r)}
+                  for k, d, r in nodes],
+        "edges": edges,
+        "tau_edges": tau_edges,
     }
     return json.dumps(doc, indent=2)

@@ -29,7 +29,7 @@ from .artrans import (
 )
 from .errors import DomainError, InternalCheckError, StrandboxError
 from .linalg import scalar_from_spec
-from .modules import ZERO, dim_vector, format_module, parse_module, rank_vector
+from .modules import ZERO, dim_vector, format_module, format_vector, parse_module, rank_vector
 from .roots import cartan, closed_form_positive_roots, enumerate_positive_roots
 from .strings import delta_length, enumerate_bands, enumerate_strings, format_word
 from .verify import check_coxeter_compatibility, check_gls
@@ -49,10 +49,6 @@ def _seq(text):
         return tuple(int(s) for s in text.split(","))
     except ValueError:
         raise DomainError(f"not a comma-separated vertex sequence: {text!r}") from None
-
-
-def _vec(x):
-    return "(" + ",".join(map(str, x)) + ")"
 
 
 def cmd_strings(args):
@@ -127,7 +123,8 @@ def cmd_tube(args):
         for level, row in enumerate(g.rows, start=1):
             print(f"level {level}:")
             for m in row:
-                print(f"  {format_module(m)}  dim={_vec(dim_vector(m))}  rank={_vec(rank_vector(m))}")
+                dims, ranks = format_vector(dim_vector(m)), format_vector(rank_vector(m))
+                print(f"  {format_module(m)}  dim={dims}  rank={ranks}")
     return 0
 
 
@@ -159,7 +156,7 @@ def cmd_roots(args):
         print(json.dumps([list(r) for r in ordered]))
     else:
         for r in ordered:
-            print(_vec(r))
+            print(format_vector(r))
     return 0
 
 

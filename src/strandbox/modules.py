@@ -60,6 +60,7 @@ from .strings import (
 class ZeroModule:
     """The zero module; arises only as tau of projectives / tau^{-1} of injectives."""
 
+    __slots__ = ()
     _instance = None
 
     def __new__(cls):
@@ -536,6 +537,11 @@ def format_module(m):
     if param == "1" and m.level == 1:
         return f"band({base})"
     return f"band({base};{param};{m.level})"
+
+
+def format_vector(x):
+    """Text of a dimension, rank or root vector: `(x1,...,xn)`."""
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 def _parse_param(text):

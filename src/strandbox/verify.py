@@ -195,7 +195,11 @@ class _WitnessTable(dict):
     """Rank vector -> witnesses; `bottom` is the tube's bottom row the table
     walked, empty at bound 0."""
 
-    bottom = ()
+    __slots__ = ("bottom",)
+
+    def __init__(self, witnesses, bottom):
+        dict.__init__(self, witnesses)
+        self.bottom = bottom
 
 
 def tau_locally_free_rank_vectors(p, bound, char=0):
@@ -211,7 +215,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     if bound < 0:
         raise DomainError("bound must be >= 0")
     cd = cartan(p.n)
-    witnesses = _WitnessTable()
+    witnesses, bottom = {}, ()
 
     def add(w, rv):
         witnesses.setdefault(rv, []).append(w)
@@ -224,7 +228,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     if bound >= 1:
         for level, row in enumerate(tube_rows(p), start=1):
             if level == 1:
-                witnesses.bottom = tuple(row)
+                bottom = tuple(row)
             members = set(row)
             ranks = [free_rank_vector(m) for m in row]
             for m, rv in zip(row, ranks):
@@ -249,7 +253,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
                         raise InternalCheckError(f"band module {format_module(m)} is not "
                                                  f"locally free")
                     add(Witness("band", m, level=level), rv)
-    return witnesses
+    return _WitnessTable(witnesses, bottom)
 
 
 def _band_classes(t):

@@ -3,9 +3,9 @@
 The digests in ``data/ar_digests.json`` pin, for every orientation with
 n = 3 and 4:
 
-- the JSON of ``tube_rank(p, 5)``;
-- the JSON of ``build_component`` at radius 6 from ``P_1`` and from
-  ``triv(2)``;
+- the JSON and the DOT of ``tube_rank(p, 5)``;
+- the JSON and the DOT of ``build_component`` at radius 6 from ``P_1``
+  and from ``triv(2)``;
 - ``minimal_strings(p, 8)``;
 - for every string of length <= 6: its index, minimality, AR-sequence
   (case, middle terms, end), tau and component kind.
@@ -28,6 +28,7 @@ from strandbox import (
     build_component,
     build_type_C_algebra,
     classify_component,
+    component_to_dot,
     component_to_json,
     enumerate_strings,
     format_module,
@@ -45,7 +46,8 @@ from strandbox import (
 DATA = pathlib.Path(__file__).parent / "data" / "ar_digests.json"
 
 ORIENTATIONS = [(n, "".join(bits)) for n in (3, 4) for bits in itertools.product("RL", repeat=n - 1)]
-PARTS = ("tube", "component_P1", "component_triv2", "minimal", "strings")
+PARTS = ("tube", "component_P1", "component_triv2", "minimal", "strings",
+         "tube_dot", "component_P1_dot", "component_triv2_dot")
 
 
 def _strings_table(p):
@@ -69,13 +71,16 @@ def _minimal_table(p):
 def texts(n, orient):
     """The text of each pinned part for one presentation."""
     p = build_type_C_algebra(n, orient)
-    return {
-        "tube": lambda: component_to_json(tube_rank(p, 5)),
-        "component_P1": lambda: component_to_json(build_component(projective_string(p, 1), 6)),
-        "component_triv2": lambda: component_to_json(build_component(simple_module(p, 2), 6)),
-        "minimal": lambda: _minimal_table(p),
-        "strings": lambda: _strings_table(p),
+    windows = {
+        "tube": lambda: tube_rank(p, 5),
+        "component_P1": lambda: build_component(projective_string(p, 1), 6),
+        "component_triv2": lambda: build_component(simple_module(p, 2), 6),
     }
+    parts = {"minimal": lambda: _minimal_table(p), "strings": lambda: _strings_table(p)}
+    for name, window in windows.items():
+        parts[name] = lambda window=window: component_to_json(window())
+        parts[name + "_dot"] = lambda window=window: component_to_dot(window())
+    return parts
 
 
 def case_id(n, orient, part):

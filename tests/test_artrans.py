@@ -431,9 +431,28 @@ def test_component_radius_is_the_largest_distance(a3):
     for r in range(4):
         g = build_component(simple_module(a3, 2), r)
         assert max(g.dist.values()) == r
-        assert set(g.dist) == set(g.nodes)
+        assert set(g.dist) == set(g.nodes.values())
+        # breadth first: the seed at 0, and an arrow joins modules at most 1 apart
+        assert g.dist[simple_module(a3, 2)] == 0
+        assert all(abs(g.dist[a] - g.dist[b]) <= 1 for a, b in g.edges | g.tau_edges)
     g = build_component(simple_module(a3, 2), 0)
     assert list(g.nodes) == ["triv(2)"] and not g.edges and not g.tau_edges
+
+
+@pytest.mark.parametrize("window, size", [
+    (lambda: build_component(projective_string(build_type_C_algebra(3, "RL"), 1), 12), 453),
+    (lambda: tube_rank(build_type_C_algebra(5, "RRLR"), 6), 24),
+])
+def test_a_window_formats_each_module_once_when_its_nodes_are_read(monkeypatch, window, size):
+    """Windows are keyed by module: building one formats nothing, and
+    reading `nodes` formats each module once."""
+    calls = Counter()
+    real = artrans.format_module
+    monkeypatch.setattr(artrans, "format_module", lambda m: calls.update([m]) or real(m))
+    g = window()
+    assert not calls
+    assert len(g.nodes) == size
+    assert len(calls) == size and set(calls.values()) == {1}
 
 
 def test_component_of_p1(a3):

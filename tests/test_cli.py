@@ -6,8 +6,18 @@ import sys
 
 import pytest
 
-from strandbox import verify
+from strandbox import (
+    build_type_C_algebra,
+    component_to_dot,
+    component_to_json,
+    enumerate_bands,
+    enumerate_strings,
+    format_word,
+    tube_rank,
+    verify,
+)
 from strandbox.cli import MAX_POWER, main
+from strandbox.verify import CheckReport
 from strandbox.linalg import MAX_PRIME
 
 
@@ -245,3 +255,66 @@ def test_a_format_the_subcommand_does_not_print_is_a_usage_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_strings_json_and_bands_table(capsys):
+    p = build_type_C_algebra(3, "RR")
+    code, out, _ = run(capsys, "strings", "--n", "3", "--orient", "RR", "--max-len", "2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == [format_word(w) for w in enumerate_strings(p, 2)]
+    code, out, _ = run(capsys, "bands", "--n", "3", "--orient", "RR", "--max-dl", "1")
+    assert code == 0
+    assert out.splitlines() == [f"{format_word(b)}  dl=1" for b in enumerate_bands(p, 1)]
+
+
+def test_minimal_json(capsys):
+    code, out, _ = run(capsys, "minimal", "--n", "3", "--orient", "RR", "--max-len", "4",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["(0, 2)", "(2, 0)", "(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)"]
+    assert doc["(1, 1)"] == ["triv(2)", "e1~.a21~.a32~.e3~"]
+
+
+@pytest.mark.parametrize("fmt, export", [("json", component_to_json), ("dot", component_to_dot)])
+def test_tube_json_and_dot(capsys, fmt, export):
+    code, out, _ = run(capsys, "tube", "--n", "4", "--orient", "RRR", "--levels", "2",
+                       "--format", fmt)
+    assert code == 0
+    assert out == export(tube_rank(build_type_C_algebra(4, "RRR"), 2)) + "\n"
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["kind"] == "TubeRank" and doc["rank"] == 3
+        assert len(doc["nodes"]) == 6 and len(doc["tau_edges"]) == 3
+    else:
+        assert out.startswith("digraph") and out.count("dashed") == 3
+
+
+def test_a_failing_coxeter_check_exits_1_and_prints_each_problem(capsys, monkeypatch):
+    problems = ["first problem", "second problem"]
+    monkeypatch.setattr("strandbox.cli.check_coxeter_compatibility",
+                        lambda p, seq, depth: CheckReport("coxeter-compatibility", False, problems))
+    code, out, _ = run(capsys, "verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "3,2,1")
+    assert code == 1
+    assert out.splitlines() == problems + ["coxeter compatibility: FAIL"]
+
+
+def test_a_failing_gls_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "is_rigid", lambda m, char=0: False)
+    code, out, _ = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "4")
+    assert code == 1
+    assert "  PROBLEM: bottom module triv(2) is not rigid" in out.splitlines()
+    assert out.splitlines()[-1] == "  => FAIL"
+
+
+def test_roots_closed_form_needs_seq_and_orient(capsys):
+    code, out, err = run(capsys, "roots", "--n", "3", "--bound", "4", "--closed-form",
+                         "--seq", "3,2,1")
+    assert code == 2 and out == ""
+    assert "--closed-form requires --seq and --orient" in err
+
+
+def test_a_field_of_composite_order_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("STRANDBOX_FIELD", "fp:4")
+    code, out, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "4")
+    assert code == 2 and out == "" and "not a prime" in err

@@ -5,7 +5,8 @@ function or class is used somewhere in the package or exported, only
 `verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
 that the expected band count stays independent of the enumeration), every
 function the benchmark's tracer wraps by name is still defined where it
-looks, and importing the package loads neither `dataclasses` nor `inspect`.
+looks, importing the package loads neither `dataclasses` nor `inspect`, and
+every class of the package that is not an exception declares `__slots__`.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  The import checks skip `__init__.py`: its imports are
@@ -133,3 +134,16 @@ def test_importing_the_package_loads_no_code_generators(module):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_class_but_the_exceptions_is_slotted():
+    """No record gets attributes bolted on after construction: every class
+    the package defines declares `__slots__`, so none has a `__dict__`."""
+    unslotted = []
+    for path in MODULES:
+        module = importlib.import_module(f"strandbox.{path.stem}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ \
+                    and not issubclass(cls, BaseException) and "__slots__" not in vars(cls):
+                unslotted.append(f"{path.stem}.{name}")
+    assert unslotted == []

@@ -241,3 +241,88 @@ def test_check_tube_invariants_all_orientations_n4():
         p = build_type_C_algebra(4, orient)
         rep = check_tube_invariants(p)
         assert rep.passed, (orient, rep.problems)
+
+
+def _check_gls_over(monkeypatch, edit, p, bound):
+    """check_gls over the real witness table as `edit` changes it in place."""
+    real = verify.tau_locally_free_rank_vectors
+
+    def doctored(p, bound, char=0):
+        table = real(p, bound, char)
+        edit(table)
+        return table
+
+    monkeypatch.setattr(verify, "tau_locally_free_rank_vectors", doctored)
+    return check_gls(p, bound)
+
+
+def test_check_gls_reports_a_real_root_with_two_witnesses(a3, monkeypatch):
+    report = _check_gls_over(monkeypatch, lambda t: t[(0, 0, 1)].append(t[(0, 0, 1)][0]), a3, 8)
+    assert report.passed is False
+    assert report.problems == ["real root (0, 0, 1) has 2 witnesses: tau^-0 P_3, tau^-0 P_3"]
+
+
+def test_check_gls_reports_a_non_regular_witness_at_an_imaginary_root(a3, monkeypatch):
+    def edit(table):
+        table[(1, 2, 1)].append(verify.Witness("preprojective", projective_string(a3, 1),
+                                               vertex=1, step=0))
+
+    report = _check_gls_over(monkeypatch, edit, a3, 8)
+    assert report.passed is False
+    assert report.problems == ["imaginary root (1, 2, 1) has non-regular witnesses: tau^-0 P_1"]
+
+
+def test_check_gls_reports_a_lost_tube_witness(a3, monkeypatch):
+    report = _check_gls_over(monkeypatch, lambda t: t[(1, 2, 1)].pop(0), a3, 8)
+    assert report.passed is False
+    assert report.problems == ["imaginary root (1, 2, 1): expected 2 tube witnesses, got 1"]
+
+
+def test_check_gls_reports_a_tube_witness_off_its_level(a3, monkeypatch):
+    def edit(table):
+        w = table[(1, 2, 1)][0]
+        table[(1, 2, 1)][0] = verify.Witness("tube", w.module, level=3, position=w.position)
+
+    report = _check_gls_over(monkeypatch, edit, a3, 8)
+    assert report.passed is False
+    assert report.problems == ["imaginary root (1, 2, 1): tube witnesses not at level 2"]
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("dim_vector", "bottom dimension sum (4, 4, 4, 4) != (2,...,2)"),
+    ("rank_vector", "bottom rank sum (2, 4, 4, 2) != delta"),
+])
+def test_check_gls_reports_a_wrong_bottom_sum(a4, monkeypatch, name, problem):
+    """A bottom row counted twice over fails exactly the one sum it is read by."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda m: tuple(2 * x for x in real(m)))
+    report = check_gls(a4, 6)
+    assert report.passed is False
+    assert report.problems == [problem] == check_tube_invariants(a4).problems
+
+
+def test_check_coxeter_reports_rank_vectors_that_repeat(a3, monkeypatch):
+    """Each I_i walked as P_i, with its expected rank beta in place of gamma:
+    every rank matches, and only the repeats are reported."""
+    monkeypatch.setattr(verify, "injective_string", projective_string)
+    monkeypatch.setattr(verify, "gamma", verify.beta)
+    rep = check_coxeter_compatibility(a3, (3, 2, 1), 0)
+    assert rep.passed is False
+    assert rep.problems == ["rank vectors along the orbits are not pairwise distinct"]
+
+
+def test_gls_report_table_lists_what_failed(a3, monkeypatch):
+    def edit(table):
+        del table[(0, 1, 1)]
+        table[(1, -1, 0)] = table[(0, 0, 1)]
+        table[(0, 0, 1)] = table[(0, 0, 1)] * 2
+
+    report = _check_gls_over(monkeypatch, edit, a3, 8)
+    assert report.passed is False
+    lines = report.to_table().splitlines()
+    assert lines[-4:] == [
+        "  MISSING root (0, 1, 1)",
+        "  EXTRA rank vector (1, -1, 0)",
+        "  PROBLEM: real root (0, 0, 1) has 2 witnesses: tau^-0 P_3, tau^-0 P_3",
+        "  => FAIL",
+    ]
