@@ -166,6 +166,7 @@ def loop_arrows(p: Presentation):
     return tuple(a for a in p.arrows if a.is_loop)
 
 
+@lru_cache(maxsize=None)
 def is_ctilde(p: Presentation):
     """Membership in the C-tilde family (loops exactly at 1 and n, A_n spine)."""
     if p.orientation is None:

@@ -20,26 +20,33 @@ letter whose side at its target is its tag.  Sides 2-colour the letters:
 two distinct letters c, d ending at one vertex have opposite sides exactly
 when d^-1.c is a string.
 
-A translation reads one table per presentation and hashes its word once:
-the table maps the special words (P_i, I_i, the ray classes) and holds two
-ends, in which each side step is one lookup and one tuple splice.  The
+A translation works in one kernel per presentation (`kernel`) on raw words:
+nonempty letter tuples, or trivial StringWords, whose tags matter.  The
+kernel maps the special words (P_i, I_i, the ray classes), either way
+round; a word longer than the longest of them is not looked up.  It holds
+two ends, in which each side step is one lookup and one tuple splice.  The
 right end maps (end letter e, sign s) to the tails c.ray(c) of the letters
 c of sign s that may follow e (the successor table of `strings`), and to
 those tails that end in e, which a deletion compares with the end of w.
 The left end holds the tails inverted, keyed by the inverse of w's first
-letter, so no word is inverted.
+letter, so no word is inverted.  Each tail carries its rank counts, so a
+walk reads free ranks and local freeness off counts it adds and takes away
+at each step; a module, one StringWord in canonical direction, is built
+only where one is returned.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, islice
+from operator import add, sub
 
 from .algebra import (
     arrow_key,
     arrows_by_source,
     arrows_by_target,
     is_ctilde,
+    loop_arrows,
     relation_lengths,
     spine_arrows,
 )
@@ -65,7 +72,9 @@ from .strings import (
     Letter,
     StringWord,
     can_append,
+    canonical_letters,
     enumerate_strings,
+    format_letters,
     format_word,
     maximal_append,
     raw_extensions,
@@ -112,7 +121,7 @@ def _sides(p):
 
 def ray(p, c):
     """The maximal string of letters of sign -c.sign that may follow the letter c."""
-    return _table(p).ray[c]
+    return kernel(p).ray[c]
 
 
 def extendable(w: StringWord, sign):
@@ -132,9 +141,11 @@ class _Tail(Record):
     letters  c.ray(c) at the right end, its inverse at the left end
     tag      the tag of a trivial word at this end that takes c, and of one
              the tail leaves
+    counts   what the tail adds to a word's counts, the same at both ends
+    bare     the trivial word left when the tail is all of a word
     """
 
-    __slots__ = ("letter", "letters", "tag")
+    __slots__ = ("letter", "letters", "tag", "counts", "bare")
 
 
 class _End(Record):
@@ -145,7 +156,8 @@ class _End(Record):
     adds     (e, s) -> tails of the letters c of sign s with e.c a string
     deletes  (e, s) -> tails of the letters c of sign s whose c.ray(c) ends in e
     tails    letter c -> its tail
-    checked  relations longer than 2: an added letter must still pass can_append
+    checked  the presentation when it has relations longer than 2, which an
+             added letter must still pass by can_append; else None
     """
 
     __slots__ = ("left", "adds", "deletes", "tails", "checked")
@@ -159,31 +171,142 @@ class _Special(Record):
     __slots__ = ("glued", "letters")
 
 
-class _Table(Record):
-    """The rays, special words and ends of one presentation:
+def _raw(w):
+    """The raw word of a StringWord: its letters, or itself when trivial."""
+    return w.letters or w
 
+
+class _Table(Record):
+    """The tau kernel of one presentation: its rays, special words, ends and
+    counts, and the translation on raw words, which are nonempty letter
+    tuples or trivial StringWords (whose tags matter).
+
+    presentation  the presentation
     ray      letter c -> ray(c)
     side     letter c -> c's side at its target
-    special  canonical word of P_i, I_i or a ray class -> its `_Special`
+    special  raw word, either way round, of P_i, I_i or a ray class -> its `_Special`
+    longest  the length of the longest special word
+    visit    vertex -> the counts of one visit there
+    weight   letter c -> its counts at the right end of a word: a visit at
+             its source, and itself if it is a loop
     right    the right end
     left     the left end, the right one inverted
+
+    A word's counts hold, per vertex, its visits there, or at a loop vertex
+    its loop letters, then per loop vertex its visits less twice its loop
+    letters.  The word is locally free when those last are all zero, and
+    then the first n are its free ranks.
     """
 
-    __slots__ = ("ray", "side", "special", "right", "left")
+    __slots__ = ("presentation", "ray", "side", "special", "longest", "visit", "weight",
+                 "right", "left")
+
+    def counts(self, raw):
+        """The counts of a raw word: a visit at its first target, and its letters'."""
+        if raw.__class__ is not tuple:
+            return self.visit[raw.base]
+        return _plus(self.visit[raw[0].target], *map(self.weight.__getitem__, raw))
+
+    def counted(self, w):
+        """The raw word of the StringWord w and its counts."""
+        raw = _raw(w)
+        return raw, self.counts(raw)
+
+    def ranks(self, counts):
+        """The free rank vector that counts give, None when not locally free."""
+        n = self.presentation.n
+        return None if any(counts[n:]) else counts[:n]
+
+    def key(self, raw):
+        """The canonical raw word of the module of a raw word."""
+        if raw.__class__ is tuple:
+            return canonical_letters(raw)
+        return raw if raw.tag == 1 else StringWord(self.presentation, (), raw.base)
+
+    def module(self, raw):
+        """The string module of a raw word; one StringWord is built."""
+        key = self.key(raw)
+        return StringModule(StringWord(self.presentation, key) if key.__class__ is tuple else key)
+
+    def entry(self, raw):
+        """The raw word's `_Special`, or None; longer words are not looked up."""
+        return self.special.get(raw) if len(raw) <= self.longest else None
+
+    def shift(self, raw, counts, sign):
+        """tau^{-1} (sign +1) or tau (sign -1) on a raw word and its counts:
+        the translate's raw word and counts, or None for the zero module.
+        Zero on I_i, resp. P_i, the ray case, else one step per side, each
+        adding or taking away its tail's counts.  Counts None stay None."""
+        entry = self.entry(raw)
+        if entry and sign in entry.glued:
+            return None
+        matches = _ray_letters(entry, -sign)
+        if matches:
+            raw = _only({self.key(_raw(self.ray[c.inverse])) for c in matches}, _NAMES[sign], raw)
+            return raw, counts and self.counts(raw)
+        for end in (self.right, self.left):
+            op, tail, raw = _step(end, raw, sign)
+            counts = _moved(counts, tail, op == sign)
+        return raw, counts
+
+    def tube(self):
+        """The rows of the rank-(n-1) tube, bottom first, without end, each a
+        list of (module, counts).  The ray step takes each module up to the
+        one middle term of its AR-sequence that is not in the row below."""
+        below, row = set(), [(m, *self.counted(m.word)) for m in tube_bottom(self.presentation)]
+        while True:
+            yield [(m, counts) for m, _, counts in row]
+            up = []
+            for _, raw, counts in row:
+                seq = _sequence(self, raw, counts)
+                ups = [t for t in (seq[1] if seq else ()) if self.key(t[0]) not in below]
+                if len(ups) != 1:
+                    raise InternalCheckError("tube ray step is not unique")
+                up.append(ups[0])
+            below = {self.key(raw) for _, raw, _ in row}
+            row = [(self.module(raw), raw, counts) for raw, counts in up]
+
+
+def _plus(*vectors):
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _moved(counts, tail, added):
+    """counts with the tail's added or taken away; None stays None."""
+    return None if counts is None else tuple(map(add if added else sub, counts, tail.counts))
 
 
 @lru_cache(maxsize=None)
-def _table(p):
+def kernel(p):
+    """The tau kernel of p, built once: see `_Table`."""
     side = _sides(p)
     ray, special = {}, {w: _Special(dict(g), []) for w, g in glued_table(p).items()}
     for c in side:
         added = maximal_append(p, [c], -c.sign)
         ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
         special.setdefault(string_module(ray[c]).word, _Special({}, [])).letters.append(c)
-    right = {c: _Tail(c, (c,) + r.letters, side[c]) for c, r in ray.items()}
-    left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag)
+    special = {_raw(v): e for w, e in special.items() for v in (w, w.inverse)}
+    slot = {v: i for i, v in enumerate(sorted({a.source for a in loop_arrows(p)}), start=p.n)}
+
+    def vector(*pairs):
+        v = [0] * (p.n + len(slot))
+        for i, k in pairs:
+            v[i] += k
+        return tuple(v)
+
+    visit = {v: vector((slot.get(v, v - 1), 1)) for v in p.vertices}
+    weight = {c: vector((slot.get(c.source, c.source - 1), 1),
+                        *(((c.source - 1, 1), (slot[c.source], -2)) if c.arrow.is_loop else ()))
+              for c in side}
+    right = {}
+    for c, r in ray.items():
+        letters = (c,) + r.letters
+        right[c] = _Tail(c, letters, side[c], _plus(*map(weight.__getitem__, letters)),
+                         StringWord(p, (), c.target, side[c]))
+    left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag, t.counts,
+                     StringWord(p, (), c.target, -t.tag))
             for c, t in right.items()}
-    checked = any(k != 2 for k in relation_lengths(p))
+    checked = p if any(k != 2 for k in relation_lengths(p)) else None
     nexts = successors(p)
 
     def end(is_left, tails):
@@ -195,69 +318,81 @@ def _table(p):
             deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
         return _End(is_left, adds, deletes, tails, checked)
 
-    return _Table(ray, side, special, end(False, right), end(True, left))
+    return _Table(p, ray, side, special, max(map(len, special)), visit, weight,
+                  end(False, right), end(True, left))
 
 
-def _lookup(w):
-    """w's table and w's entry in it, None unless the canonical w is special."""
-    table = _table(w.presentation)
-    return table, table.special.get(w)
+def _entry(w):
+    """The StringWord w's `_Special`, None unless w is special."""
+    return kernel(w.presentation).entry(_raw(w))
 
 
-def _add(end, w, sign):
-    """w with the tail c.ray(c) of the one letter c of the given sign that w
-    takes at this end (+1 adds a hook, -1 a cohook); None when it takes none."""
-    letters = w.letters
-    if letters:
-        tails = end.adds.get((letters[0].inverse if end.left else letters[-1], sign), ())
-        if end.checked:
-            reading = w.inverse.letters if end.left else letters
-            tails = [t for t in tails if can_append(w.presentation, reading, t.letter)]
+def _text(raw):
+    return format_letters(raw) if raw.__class__ is tuple else format_word(raw)
+
+
+def _add(end, raw, sign):
+    """The tail c.ray(c) of the one letter c of the given sign that the raw
+    word takes at this end (+1 adds a hook, -1 a cohook), and the raw word
+    with it added; None when it takes none."""
+    if raw.__class__ is tuple:
+        tails = end.adds.get((raw[0].inverse if end.left else raw[-1], sign), ())
+        if end.checked is not None:
+            reading = tuple(c.inverse for c in reversed(raw)) if end.left else raw
+            tails = [t for t in tails if can_append(end.checked, reading, t.letter)]
     else:
-        tails = [t for t in map(end.tails.get, raw_extensions(w, sign)) if t.tag == w.tag]
+        tails = [t for t in map(end.tails.get, raw_extensions(raw, sign)) if t.tag == raw.tag]
     if len(tails) > 1:
         raise InternalCheckError("ambiguous side extension")
     if not tails:
         return None
-    tail = tails[0].letters
-    return StringWord(w.presentation, tail + letters if end.left else letters + tail)
+    t = tails[0]
+    if raw.__class__ is not tuple:
+        return t, t.letters
+    return t, (t.letters + raw if end.left else raw + t.letters)
 
 
-def _delete(end, w, sign):
-    """w without a full tail c.ray(c), c of the given sign, at this end (+1
-    deletes a hook, -1 a cohook); None when w does not end so."""
-    letters = w.letters
-    if not letters:
+def _delete(end, raw, sign):
+    """The full tail c.ray(c), c of the given sign, that the raw word ends in
+    at this end (+1 a hook, -1 a cohook), and the raw word without it; None
+    when it does not end so."""
+    if raw.__class__ is not tuple:
         return None
-    for t in end.deletes.get((letters[0].inverse if end.left else letters[-1], sign), ()):
+    for t in end.deletes.get((raw[0].inverse if end.left else raw[-1], sign), ()):
         k = len(t.letters)
-        if (letters[:k] if end.left else letters[-k:]) == t.letters:
-            rest = letters[k:] if end.left else letters[:-k]
-            return StringWord(w.presentation, rest) if rest else \
-                StringWord(w.presentation, (), t.letter.target, t.tag)
+        if (raw[:k] if end.left else raw[-k:]) == t.letters:
+            return t, (raw[k:] if end.left else raw[:-k]) or t.bare
     return None
+
+
+def _side(step, end, w, sign):
+    """A side step on the StringWord w, as a StringWord or None."""
+    done = step(end, _raw(w), sign)
+    if done is None:
+        return None
+    return StringWord(w.presentation, done[1]) if done[1].__class__ is tuple else done[1]
 
 
 def add_right(w, sign):
     """w.c.ray(c) for the right letter c of the given sign (+1 adds a hook,
     -1 a cohook); None when w takes no such letter."""
-    return _add(_table(w.presentation).right, w, sign)
+    return _side(_add, kernel(w.presentation).right, w, sign)
 
 
 def delete_right(w, sign):
     """Strip a full tail c.ray(c) with c of the given sign (+1 deletes a
     hook, -1 a cohook); None when w does not end so."""
-    return _delete(_table(w.presentation).right, w, sign)
+    return _side(_delete, kernel(w.presentation).right, w, sign)
 
 
 def add_left(w, sign):
     """add_right on the inverse word, inverted back."""
-    return _add(_table(w.presentation).left, w, sign)
+    return _side(_add, kernel(w.presentation).left, w, sign)
 
 
 def delete_left(w, sign):
     """delete_right on the inverse word, inverted back."""
-    return _delete(_table(w.presentation).left, w, sign)
+    return _side(_delete, kernel(w.presentation).left, w, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +411,21 @@ class ARSequence(Record):
 
 
 _KIND = {1: "Hook", -1: "Cohook"}
+_NAMES = {1: "tau_inv", -1: "tau"}
 
 
-def _step(end, w, sign):
-    """One side of a translation, at the given end of w: add with the given
-    sign where possible, else delete with the other.  Returns the sign
-    operated on and the new word.  (Never both apply: a tail c.ray(c) takes
-    no letter of sign -c.sign.)"""
-    v = _add(end, w, sign)
-    if v is not None:
-        return sign, v
-    v = _delete(end, w, -sign)
-    if v is None:
-        raise InternalCheckError(f"no side operation for {format_word(w)}")
-    return -sign, v
+def _step(end, raw, sign):
+    """One side of a translation, at the given end of a raw word: add with
+    the given sign where possible, else delete with the other.  Returns the
+    sign operated on, the tail and the new raw word.  (Never both apply: a
+    tail c.ray(c) takes no letter of sign -c.sign.)"""
+    done = _add(end, raw, sign)
+    if done is not None:
+        return sign, *done
+    done = _delete(end, raw, -sign)
+    if done is None:
+        raise InternalCheckError(f"no side operation for {_text(raw)}")
+    return -sign, *done
 
 
 def _ray_letters(entry, sign):
@@ -297,10 +433,35 @@ def _ray_letters(entry, sign):
     return [c for c in entry.letters if c.sign == sign] if entry else ()
 
 
-def _only(results, what, w):
+def _only(results, what, raw):
     if len(results) != 1:
-        raise InternalCheckError(f"ambiguous {what} at {format_word(w)}")
+        raise InternalCheckError(f"ambiguous {what} at {_text(raw)}")
     return next(iter(results))
+
+
+def _sequence(table, raw, counts):
+    """The AR-sequence starting at the module of a raw word: (case, middle
+    terms, end term), each term a (raw word, counts) pair as in
+    `_Table.shift`; None at an injective."""
+    entry = table.entry(raw)
+    if entry and 1 in entry.glued:
+        return None
+    matches = _ray_letters(entry, -1)
+    if matches:
+        # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
+        terms = _only({(table.key(_add(table.left, _raw(table.ray[c]), 1)[1]),
+                        table.key(_raw(table.ray[c.inverse]))) for c in matches},
+                      "indecomposable-middle sequence", raw)
+        mid, last = ((t, counts and table.counts(t)) for t in terms)
+        return "IndecMiddle", (mid,), last
+    terms = []
+    for end in (table.left, table.right):
+        op, tail, w = _step(end, raw, 1)
+        terms.append((op, w, _moved(counts, tail, op > 0)))
+    (lsign, left, lcounts), (rsign, right, rcounts) = terms
+    op, tail, both = _step(table.left, right, 1)
+    return (_KIND[lsign] + _KIND[rsign], ((left, lcounts), (right, rcounts)),
+            (both, _moved(rcounts, tail, op > 0)))
 
 
 def ar_sequence_starting_at(m):
@@ -312,50 +473,34 @@ def ar_sequence_starting_at(m):
         if m.level > 1:
             middle.append(band_module(m.band, m.param, m.level - 1))
         return ARSequence(m, tuple(middle), m, "BandSelf")
-    w = m.word
-    table, entry = _lookup(w)
-    if entry and 1 in entry.glued:
+    table = kernel(m.word.presentation)
+    seq = _sequence(table, _raw(m.word), None)
+    if seq is None:
         return None
-    matches = _ray_letters(entry, -1)
-    if matches:
-        # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
-        mid, right = _only({(string_module(_add(table.left, table.ray[c], 1)),
-                             string_module(table.ray[c.inverse])) for c in matches},
-                           "indecomposable-middle sequence", w)
-        return ARSequence(m, (mid,), right, "IndecMiddle")
-    rsign, right = _step(table.right, w, 1)
-    lsign, left = _step(table.left, w, 1)
-    both = _step(table.left, right, 1)[1]
-    middle = (string_module(left), string_module(right))
-    return ARSequence(m, middle, string_module(both), _KIND[lsign] + _KIND[rsign])
+    case, middle, (end, _) = seq
+    return ARSequence(m, tuple(table.module(w) for w, _ in middle), table.module(end), case)
 
 
-def _translate(m, sign, what):
-    """tau^{-1} (sign +1) or tau (sign -1): zero on I_i, resp. P_i, the
-    identity on band classes, else the ray case or one step per side."""
+def _translate(m, sign):
+    """tau^{-1} (sign +1) or tau (sign -1) of a module: the kernel's
+    `_Table.shift` on a string module, the identity on band classes."""
     if m is ZERO:
-        raise DomainError(f"{what} of the zero module")
+        raise DomainError(f"{_NAMES[sign]} of the zero module")
     if isinstance(m, BandModuleClass):
         return m
-    w = m.word
-    table, entry = _lookup(w)
-    if entry and sign in entry.glued:
-        return ZERO
-    matches = _ray_letters(entry, -sign)
-    if matches:
-        return _only({string_module(table.ray[c.inverse]) for c in matches}, what, w)
-    _, right = _step(table.right, w, sign)
-    return string_module(_step(table.left, right, sign)[1])
+    table = kernel(m.word.presentation)
+    done = table.shift(_raw(m.word), None, sign)
+    return ZERO if done is None else table.module(done[0])
 
 
 def tau_inv(m):
     """tau^{-1}: zero on injectives, identity on band classes; the dual of tau."""
-    return _translate(m, 1, "tau_inv")
+    return _translate(m, 1)
 
 
 def tau(m):
     """tau: zero on projectives, identity on band classes."""
-    return _translate(m, -1, "tau")
+    return _translate(m, -1)
 
 
 def orbit(m, step):
@@ -380,7 +525,7 @@ def neighbours(m, sign):
     seq = None if start is ZERO else ar_sequence_starting_at(start)
     if seq is None:
         parts = soc_quotient_decomposition if sign > 0 else rad_decomposition
-        return tuple(parts(m.word.presentation, _lookup(m.word)[1].glued[sign])), ZERO
+        return tuple(parts(m.word.presentation, _entry(m.word).glued[sign])), ZERO
     return seq.middle, seq.right if sign > 0 else start
 
 
@@ -400,7 +545,7 @@ def is_minimal(w):
     """Minimality of M(w): every incoming irreducible map surjective, every
     outgoing one injective; evaluated by the case characterization."""
     w = string_module(w).word
-    entry = _lookup(w)[1]
+    entry = _entry(w)
     if entry and entry.glued:
         return w.is_trivial
     hook_ray, cohook_ray = (bool(_ray_letters(entry, s)) for s in (1, -1))
@@ -491,21 +636,10 @@ class ComponentGraph:
 
 
 def tube_rows(p):
-    """The rows of the rank-(n-1) tube, bottom first, without end.
-
-    The ray step takes each module up to the one middle term of its
-    AR-sequence that is not in the row below.
-    """
-    below, row = set(), tube_bottom(p)
-    while True:
-        yield row
-        up = []
-        for x in row:
-            ups = [mid for mid in neighbours(x, 1)[0] if mid not in below]
-            if len(ups) != 1:
-                raise InternalCheckError("tube ray step is not unique")
-            up.append(ups[0])
-        below, row = set(row), up
+    """The rows of the rank-(n-1) tube, bottom first, without end, as
+    `_Table.tube` walks them."""
+    for row in kernel(p).tube():
+        yield [m for m, _ in row]
 
 
 def tube_rank(p, levels=None):

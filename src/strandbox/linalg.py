@@ -9,6 +9,7 @@ so no floating point or Fraction appears anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import DomainError
@@ -16,6 +17,20 @@ from .errors import DomainError
 # The largest prime a field spec may name: the primality check is trial
 # division, which needs at most isqrt(MAX_PRIME) = 46,340 steps.
 MAX_PRIME = 2**31 - 1
+
+
+@lru_cache(maxsize=None, typed=True)
+def field_char(char):
+    """char itself when it names a field: 0 for Q, or a prime p <= MAX_PRIME
+    for GF(p); DomainError otherwise.  Cached, so a repeated check is one
+    lookup."""
+    if char.__class__ is not int or char < 0:
+        raise DomainError(f"a field characteristic is 0 or a prime, not {char!r}")
+    if char > MAX_PRIME:
+        raise DomainError(f"field size {char} is above the limit 2^31 - 1 = {MAX_PRIME}")
+    if char and (char < 2 or any(char % q == 0 for q in range(2, isqrt(char) + 1))):
+        raise DomainError(f"not a prime: {char}")
+    return char
 
 
 def scalar_from_spec(spec):
@@ -28,11 +43,9 @@ def scalar_from_spec(spec):
             p = int(spec[3:])
         except ValueError:
             raise DomainError(f"bad field spec {spec!r}: fp: takes a prime, as in fp:101") from None
-        if p > MAX_PRIME:
-            raise DomainError(f"field size {p} is above the limit 2^31 - 1 = {MAX_PRIME}")
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if p < 2:
             raise DomainError(f"not a prime: {p}")
-        return p
+        return field_char(p)
     raise DomainError(f"unknown field spec: {spec!r}")
 
 

@@ -31,6 +31,7 @@ from .algebra import loop_arrows
 from .errors import DomainError, InternalCheckError, NotLocallyFree
 from .linalg import (
     companion_matrix,
+    field_char,
     field_name,
     field_value,
     gcd_degree,
@@ -128,6 +129,7 @@ def canonical_simple_param(s, char=0):
     the largest coefficient, then c_0, c_1, ..., each in 0..p-1: small
     coefficients come first, so the search stays short for any p.
     """
+    char = field_char(char)
     if s < 1:
         raise DomainError("parameter degree must be >= 1")
     if s == 1:
@@ -420,6 +422,7 @@ def hom_dim_modules(x, y, char=0):
     rotation of its own inverse.  A band parameter must give a band module
     over the field, as in `build_representation`, or DomainError is raised.
     """
+    char = field_char(char)
     (wx, bx), (wy, by) = _hom_word(x, char), _hom_word(y, char)
     if wx.presentation != wy.presentation:
         raise DomainError("hom between modules over different presentations")
@@ -447,7 +450,7 @@ def ext1_dim_locally_free(x, y, char=0):
 
 
 def is_rigid(m, char=0):
-    return ext1_dim_locally_free(m, m, char) == 0
+    return ext1_dim_locally_free(m, m, field_char(char)) == 0
 
 
 # ---------------------------------------------------------------------------

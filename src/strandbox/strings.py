@@ -314,18 +314,25 @@ def maximal_append(p, letters, sign):
             raise InternalCheckError("unbounded extension; algebra not finite dimensional?")
 
 
-def canonical_string(w: StringWord):
-    """Representative of the rho-class {w, w^-1}: minimal in the word order.
-    Trusts that w is a string.  Decides at the first letter key where w and
-    w^-1 differ, and builds w^-1 only when it wins."""
-    letters = w.letters
-    if not letters:
-        return StringWord(w.presentation, (), w.base)
+def canonical_letters(letters):
+    """The smaller of a nonempty letter tuple and its inverse in the word
+    order, decided at the first letter key where they differ; the inverse
+    is built only when it wins."""
     for c, d in zip(letters, reversed(letters)):
         key, inverse_key = c.key, d.inverse.key
         if key != inverse_key:
-            return w if key < inverse_key else w.inverse
-    return w
+            return letters if key < inverse_key else tuple(map(_INVERSE, reversed(letters)))
+    return letters
+
+
+def canonical_string(w: StringWord):
+    """Representative of the rho-class {w, w^-1}: minimal in the word order.
+    Trusts that w is a string."""
+    letters = w.letters
+    if not letters:
+        return StringWord(w.presentation, (), w.base)
+    canonical = canonical_letters(letters)
+    return w if canonical is letters else StringWord(w.presentation, canonical)
 
 
 # ---------------------------------------------------------------------------

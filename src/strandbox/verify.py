@@ -4,22 +4,23 @@ Witness modules are assembled from the four structural families
 (preprojective and preinjective tau-orbits, the rank-(n-1) tube, band
 classes by delta-length, parameter degree and tube level), and their rank
 vectors compared against the enumerated positive roots.  Each orbit is
-walked once, every walked module is checked locally free, and each step is
-retraced by the opposite translation.  Failures are report content, not
-exceptions; a hard error only signals that a generated witness failed one
-of these checks.
+walked once, on the letter tuples of the tau kernel (`artrans.kernel`),
+every walked module is checked locally free by the rank counts the walk
+carries, and each step is retraced by the opposite translation.  Failures
+are report content, not exceptions; a hard error only signals that a
+generated witness failed one of these checks.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from operator import itemgetter
 
-from .artrans import orbit, tau, tau_inv, tube_bottom, tube_rows
-from .errors import DomainError, InternalCheckError
+from .algebra import is_ctilde
+from .artrans import kernel, orbit, tau, tau_inv, tube_bottom
+from .errors import DomainError, InternalCheckError, UnsupportedPresentation
+from .linalg import field_char
 from .modules import (
-    ZERO,
     band_module,
     canonical_simple_param,
     dim_vector,
@@ -116,6 +117,8 @@ class GLSReport:
         return not self.missing and not self.extra and not self.problems
 
     def to_json(self):
+        import json
+
         doc = {
             "n": self.n,
             "orientation": list(self.orientation),
@@ -157,38 +160,53 @@ class GLSReport:
         return "\n".join(lines)
 
 
-def _orbit(start, step):
-    """(module, rank vector) along the orbit of start; each must be locally free."""
-    for m in orbit(start, step):
-        rv = free_rank_vector(m)
+def _orbit(k, start, sign):
+    """(raw word, rank vector) along the orbit of start under tau^{-1} (sign
+    +1) or tau (sign -1), walked by the kernel k with the counts it carries;
+    each module must be locally free."""
+    step = k.counted(start.word)
+    while step is not None:
+        raw, counts = step
+        rv = k.ranks(counts)
         if rv is None:
-            raise InternalCheckError(f"tau-orbit module {format_module(m)} "
+            raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} "
                                      f"is not locally free")
-        yield m, rv
+        yield raw, rv
+        step = k.shift(raw, counts, sign)
 
 
-def _orbit_witnesses(cd, start, step, back, bound):
-    """(r, step^r(start), its rank vector) for the modules of height <= bound
-    on the orbit.
+def _orbit_witnesses(cd, k, start, sign, bound):
+    """(r, the module tau^{-r sign} start, its rank vector) for the modules of
+    height <= bound on the orbit; only these are built as modules.
 
-    The orbit is walked once, through the stopping rule of `bounded_orbit`
-    and on to WINDOW - 1 steps past the last module returned, and `back`
-    retraces every step: back(start) is zero and back(walked[k]) is
-    walked[k-1].
+    The orbit is walked once on raw words, through the stopping rule of
+    `bounded_orbit` and on to WINDOW - 1 steps past the last module
+    returned, and the opposite translation retraces every step: it takes
+    start to zero and walked[k] to walked[k-1], as the same raw word or,
+    failing that, the same module.
     """
-    orbit = _orbit(start, step)
+    orbit = _orbit(k, start, sign)
     walked = list(bounded_orbit(cd, orbit, bound, itemgetter(1)))
     inside = [r for r, (_, rv) in enumerate(walked) if height(rv) <= bound]
     if inside:
         walked += islice(orbit, max(0, inside[-1] + WINDOW - len(walked)))
-    modules = [m for m, _ in walked]
-    if back(start) is not ZERO:
+    raws = [raw for raw, _ in walked]
+    if k.shift(raws[0], None, -sign) is not None:
         raise InternalCheckError(f"{format_module(start)} does not start its tau-orbit")
-    for prev, m in zip(modules, modules[1:]):
-        if back(m) != prev:
-            raise InternalCheckError(f"tau-orbit step {format_module(prev)} -> "
-                                     f"{format_module(m)} is not retraced")
-    return [(r, *walked[r]) for r in inside]
+    for prev, raw in zip(raws, raws[1:]):
+        back = k.shift(raw, None, -sign)
+        if back is None or back[0] != prev and k.key(back[0]) != k.key(prev):
+            raise InternalCheckError(f"tau-orbit step {format_module(k.module(prev))} -> "
+                                     f"{format_module(k.module(raw))} is not retraced")
+    return [(r, k.module(walked[r][0]), walked[r][1]) for r in inside]
+
+
+def _field(p, char):
+    """char, once p is in the C-tilde family and char names a field
+    (`field_char`); UnsupportedPresentation, resp. DomainError, otherwise."""
+    if not is_ctilde(p):
+        raise UnsupportedPresentation("the GLS correspondence is checked in the C-tilde family only")
+    return field_char(char)
 
 
 class _WitnessTable(dict):
@@ -205,39 +223,44 @@ class _WitnessTable(dict):
 def tau_locally_free_rank_vectors(p, bound, char=0):
     """Map rank vector -> witnesses among tau-locally free modules of height
     <= bound, assembled from the four families and checked as they are built:
-    orbits as in `_orbit_witnesses`, each tube row (locally free, closed under
-    tau and tau^-1) and each band module (locally free; in a homogeneous tube,
-    so fixed by tau by construction) once.
+    orbits as in `_orbit_witnesses`, each tube row (locally free by the
+    counts the tube walk carries, closed under tau and tau^-1) and each band
+    module (locally free; in a homogeneous tube, so fixed by tau by
+    construction) once.  Presentations outside the C-tilde family and a
+    `char` that names no field are refused up front.
     Band witnesses take the canonical parameter over the field of
     characteristic `char`, so that each is a band module over that field.
     The table also holds, as `bottom`, the tube's bottom row it walked (a
     tuple, empty at bound 0)."""
     if bound < 0:
         raise DomainError("bound must be >= 0")
+    char = _field(p, char)
     cd = cartan(p.n)
+    k = kernel(p)
     witnesses, bottom = {}, ()
 
     def add(w, rv):
         witnesses.setdefault(rv, []).append(w)
 
     for i in p.vertices:
-        for r, m, rv in _orbit_witnesses(cd, projective_string(p, i), tau_inv, tau, bound):
+        for r, m, rv in _orbit_witnesses(cd, k, projective_string(p, i), 1, bound):
             add(Witness("preprojective", m, vertex=i, step=r), rv)
-        for s, m, rv in _orbit_witnesses(cd, injective_string(p, i), tau, tau_inv, bound):
+        for s, m, rv in _orbit_witnesses(cd, k, injective_string(p, i), -1, bound):
             add(Witness("preinjective", m, vertex=i, step=s), rv)
     if bound >= 1:
-        for level, row in enumerate(tube_rows(p), start=1):
+        for level, row in enumerate(k.tube(), start=1):
+            members = [m for m, _ in row]
             if level == 1:
-                bottom = tuple(row)
-            members = set(row)
-            ranks = [free_rank_vector(m) for m in row]
-            for m, rv in zip(row, ranks):
-                if rv is None or tau(m) not in members or tau_inv(m) not in members:
+                bottom = tuple(members)
+            ranks = [k.ranks(counts) for _, counts in row]
+            closed = set(members)
+            for m, rv in zip(members, ranks):
+                if rv is None or tau(m) not in closed or tau_inv(m) not in closed:
                     raise InternalCheckError(f"tube row {level} is not a tau-orbit of locally "
                                              f"free modules at {format_module(m)}")
             if min(map(height, ranks)) > bound:
                 break
-            for pos, (m, rv) in enumerate(zip(row, ranks)):
+            for pos, (m, rv) in enumerate(zip(members, ranks)):
                 if height(rv) <= bound:
                     add(Witness("tube", m, level=level, position=pos), rv)
     ht_delta = height(delta(cd))
@@ -271,6 +294,7 @@ def check_gls(p, bound, char=0):
     many as `_band_classes(t)`), degree s and level l with t s l = m.  At a
     positive bound the problems include those of `check_tube_invariants`,
     found on the bottom row the witness table walked."""
+    char = _field(p, char)
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
@@ -325,6 +349,8 @@ def check_coxeter_compatibility(p, seq, depth):
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if not is_ctilde(p):
+        raise UnsupportedPresentation("Coxeter compatibility is checked in the C-tilde family only")
     cd = cartan(p.n)
     seq = tuple(seq)
     if is_admissible_sequence(p.orientation, seq, "+"):
@@ -375,5 +401,5 @@ def _tube_problems(p, bottom, char):
 def check_tube_invariants(p, char=0):
     """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
     itself checks that tau^-1 closes it with period n-1."""
-    problems = _tube_problems(p, tube_bottom(p), char)
+    problems = _tube_problems(p, tube_bottom(p), _field(p, char))
     return CheckReport("tube-invariants", not problems, problems)

@@ -32,7 +32,7 @@ from strandbox import (
     tau_inv,
 )
 from strandbox.algebra import arrow_named
-from strandbox.artrans import _table, ar_sequence_starting_at, ray
+from strandbox.artrans import ar_sequence_starting_at, kernel, ray
 from strandbox.errors import InternalCheckError
 from strandbox.strings import (
     Band,
@@ -344,7 +344,7 @@ def add_right_by_inversion(w, sign):
     (a trivial word: the one whose side is its tag), tested letter by letter
     with `can_append`; None when there is none."""
     p = w.presentation
-    side = _table(p).side
+    side = kernel(p).side
     cand = [c for c in _letters(p) if c.sign == sign and c.target == w.source
             and can_append(p, w.letters, c) and (w.letters or side[c] == w.tag)]
     if len(cand) > 1:
@@ -361,7 +361,7 @@ def delete_right_by_inversion(w, sign):
     p, c = w.presentation, w.letters[k]
     if w.letters[k + 1:] != ray(p, c).letters:
         return None
-    return word(p, w.letters[:k]) if k else StringWord(p, (), c.target, _table(p).side[c])
+    return word(p, w.letters[:k]) if k else StringWord(p, (), c.target, kernel(p).side[c])
 
 
 def _inverted(fn):

@@ -9,7 +9,7 @@ from strandbox import (
 )
 from strandbox import Letter
 from strandbox.algebra import path_in_ideal
-from strandbox.artrans import _table
+from strandbox.artrans import kernel
 from strandbox.roots import is_sink, is_source
 
 from conftest import all_orientations
@@ -102,7 +102,7 @@ def test_side_functions_consistency():
     avoids the ideal."""
     ctilde = [build_type_C_algebra(n, o) for n in (3, 4, 5, 6) for o in all_orientations(n)]
     for p in ctilde + [KRONECKER, linear_a4_with_a_cubic_relation()]:
-        side = _table(p).side
+        side = kernel(p).side
         eps = {a: side[Letter(a, 1)] for a in p.arrows}
         sig = {a: side[Letter(a, -1)] for a in p.arrows}
         by_tgt = {}

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from strandbox import (
+    artrans,
     build_type_C_algebra,
     component_to_dot,
     component_to_json,
@@ -53,8 +54,9 @@ def test_tau_power_past_a_projective_is_zero_and_power_zero_is_the_module(capsys
 
 
 def test_a_failed_internal_check_exits_1_not_as_a_usage_error(capsys, monkeypatch):
-    # a tau^-1 that fixes every module breaks the delta-shift check of the orbit walk
-    monkeypatch.setattr(verify, "tau_inv", lambda m: m)
+    # a translation that fixes every word breaks the delta-shift check of the orbit walk
+    kernel = type(artrans.kernel(build_type_C_algebra(3, "RR")))
+    monkeypatch.setattr(kernel, "shift", lambda k, raw, counts, sign: (raw, counts))
     code, out, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "6")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "positive multiple of delta" in err

@@ -8,7 +8,10 @@ look at arrow names.  The hook and cohook steps at both ends, `tau` and
 `tau_inv` are also compared on a linear A_4 with a relation of length 3,
 where an added letter must pass the window check.  `enumerate_bands` is
 compared with the sweep over every sign word of the standard form on every
-orientation with n = 3, 4, 5.
+orientation with n = 3, 4, 5.  On every module that `check_gls` walks at
+bound 3 ht(delta) for n = 3, 4, 5, the counts the tau kernel carries give
+the ranks of `free_rank_vector` and of the walk, and each kernel step on
+letter tuples gives the module of the inversion oracle.
 """
 
 import itertools
@@ -26,7 +29,10 @@ from strandbox import (
     canonical_band,
     canonical_simple_param,
     canonical_string,
+    cartan,
+    check_gls,
     delete_left,
+    delta,
     delete_right,
     enumerate_bands,
     enumerate_strings,
@@ -42,6 +48,7 @@ from strandbox import (
 from strandbox import artrans
 from strandbox.algebra import arrow_named
 from strandbox.errors import InternalCheckError, NotLocallyFree
+from strandbox.roots import height
 from strandbox.strings import Band, Letter, string_word, trivial_word, word
 
 from oracles import (
@@ -215,3 +222,52 @@ def test_tau_inv_refuses_an_ambiguous_ray_class(monkeypatch, a3):
     for fn in (tau_inv, tau_inv_by_ar_sequence):
         with pytest.raises(InternalCheckError, match="ambiguous"):
             fn(m)
+
+
+def _kernel_walks(monkeypatch, p, bound):
+    """The kernel steps (raw word, counts, sign, result) and the tube rows
+    of (module, counts) that `check_gls(p, bound)` makes and walks."""
+    table = type(artrans.kernel(p))
+    steps, rows = [], []
+    real_shift, real_tube = table.shift, table.tube
+
+    def shift(k, raw, counts, sign):
+        result = real_shift(k, raw, counts, sign)
+        steps.append((raw, counts, sign, result))
+        return result
+
+    def tube(k):
+        for row in real_tube(k):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(table, "shift", shift)
+    monkeypatch.setattr(table, "tube", tube)
+    assert check_gls(p, bound).passed
+    return steps, rows
+
+
+@pytest.mark.parametrize("p", CTILDE, ids=ids)
+def test_kernel_counts_and_steps_match_the_oracles_on_the_walked_modules(monkeypatch, p):
+    """Every module an orbit walk or tube row of `check_gls` visits at bound
+    3 ht(delta), and every module a step back from it with counts reaches:
+    the carried counts give `free_rank_vector` and the walk's ranks (None
+    where not locally free), and each step on letter tuples, with counts or
+    without (a retrace, a public translation), gives the module
+    `translate_by_inversion` gives."""
+    k = artrans.kernel(p)
+    steps, rows = _kernel_walks(monkeypatch, p, 3 * height(delta(cartan(p.n))))
+    assert steps and rows
+    carried = [(k.module(raw), counts) for raw, counts, _, _ in steps if counts is not None]
+    forward = [(result, sign) for _, counts, sign, result in steps
+               if counts is not None and result is not None]
+    carried += [(k.module(raw), counts) for (raw, counts), _ in forward]
+    # each step taken back with its counts, so that tails are also taken away
+    carried += [(k.module(raw), counts) for result, sign in forward
+                for raw, counts in [k.shift(*result, -sign)]]
+    carried += [item for row in rows for item in row]
+    for m, counts in carried:
+        assert k.ranks(counts) == free_rank_vector(m) == free_rank_vector_by_walk(m), m
+    for raw, _, sign, result in steps:
+        got = ZERO if result is None else k.module(result[0])
+        assert got == translate_by_inversion(k.module(raw), sign), (raw, sign)

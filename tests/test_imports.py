@@ -5,7 +5,8 @@ function or class is used somewhere in the package or exported, only
 `verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
 that the expected band count stays independent of the enumeration), every
 function the benchmark's tracer wraps by name is still defined where it
-looks, importing the package loads neither `dataclasses` nor `inspect`, and
+looks, importing the package loads neither `dataclasses` nor `inspect` (nor
+`json`, which only the exports and the CLI need), and
 every class of the package that is not an exception declares `__slots__`.
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
@@ -134,6 +135,17 @@ def test_importing_the_package_loads_no_code_generators(module):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_package_leaves_json_to_the_exports():
+    """`import strandbox` does not load `json`: `GLSReport.to_json` and
+    `component_to_json` import it when called, and only the CLI loads it up
+    front."""
+    probe = "import sys, strandbox; print('json' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_every_class_but_the_exceptions_is_slotted():

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from strandbox import (
     ZERO,
     DomainError,
+    StringModule,
+    UnsupportedPresentation,
     beta,
     build_representation,
     build_type_C_algebra,
@@ -24,6 +27,7 @@ from strandbox import (
     format_module,
     hom_dim,
     hom_dim_modules,
+    is_rigid,
     projective_string,
     quadratic,
     rank_vector,
@@ -34,9 +38,11 @@ from strandbox import (
 )
 from strandbox import artrans, verify
 from strandbox.linalg import is_irreducible_mod
+from strandbox.roots import height
 
 from conftest import all_orientations
 from oracles import fails_tau_local_freeness
+from test_word_kernel import linear_a4_with_a_cubic_relation
 
 
 def test_preprojective_ranks_follow_coxeter(a3):
@@ -229,6 +235,64 @@ def test_check_gls_walks_the_tube_bottom_once(a4, monkeypatch):
     for bound, walks in ((0, 0), (1, 1), (a4.n, 1), (2 * a4.n, 1)):
         calls.clear()
         assert check_gls(a4, bound).passed and len(calls) == walks, bound
+
+
+def test_the_orbit_walks_read_ranks_off_the_kernel_and_build_only_witnesses(a4, monkeypatch):
+    """The orbit walks of the witness table take every rank vector from the
+    counts the tau kernel carries, with no `free_rank_vector` call, and
+    build one string module per orbit witness: retraced steps compare letter
+    tuples (or canonical tuples where the raw ones differ), not modules."""
+    calls, inside = Counter(), []
+    real_walk, real_rank, real_init = verify._orbit_witnesses, verify.free_rank_vector, \
+        StringModule.__init__
+
+    def walk(*args):
+        inside.append(True)
+        try:
+            return real_walk(*args)
+        finally:
+            inside.pop()
+
+    def rank(m):
+        calls["free_rank_vector"] += bool(inside)
+        return real_rank(m)
+
+    def init(m, word):
+        calls["StringModule"] += bool(inside)
+        real_init(m, word)
+
+    monkeypatch.setattr(verify, "_orbit_witnesses", walk)
+    monkeypatch.setattr(verify, "free_rank_vector", rank)
+    monkeypatch.setattr(StringModule, "__init__", init)
+    table = tau_locally_free_rank_vectors(a4, 3 * height(delta(cartan(a4.n))))
+    orbit_witnesses = sum(w.family in ("preprojective", "preinjective")
+                          for ws in table.values() for w in ws)
+    assert orbit_witnesses > 0
+    assert calls == Counter(StringModule=orbit_witnesses)
+
+
+def test_the_checks_refuse_presentations_outside_the_ctilde_family():
+    """A generic A_4 with a cubic relation is a string algebra, but neither
+    the GLS check nor the Coxeter and tube checks apply to it: each refuses
+    it up front rather than failing inside the calculus."""
+    p = linear_a4_with_a_cubic_relation()
+    for check in (lambda: check_gls(p, 8), lambda: tau_locally_free_rank_vectors(p, 8),
+                  lambda: check_coxeter_compatibility(p, (4, 3, 2, 1), 3),
+                  lambda: check_tube_invariants(p)):
+        with pytest.raises(UnsupportedPresentation):
+            check()
+
+
+@pytest.mark.parametrize("char", [1, -3, 4, 6, 2**31, 2.0, "7"])
+def test_every_field_entry_point_refuses_a_characteristic_that_names_no_field(a3, char):
+    """0 or a prime up to 2^31 - 1: char 1 and -3 used to hang in the search
+    for an irreducible parameter, and 4 and 6 to pass over Z/4 and Z/6."""
+    m = projective_string(a3, 1)
+    for check in (lambda: check_gls(a3, 8, char), lambda: tau_locally_free_rank_vectors(a3, 8, char),
+                  lambda: check_tube_invariants(a3, char), lambda: canonical_simple_param(2, char),
+                  lambda: hom_dim_modules(m, m, char), lambda: is_rigid(m, char)):
+        with pytest.raises(DomainError):
+            check()
 
 
 def test_the_witness_table_holds_the_tube_bottom(a4):
