@@ -29,10 +29,17 @@ right end maps (end letter e, sign s) to the tails c.ray(c) of the letters
 c of sign s that may follow e (the successor table of `strings`), and to
 those tails that end in e, which a deletion compares with the end of w.
 The left end holds the tails inverted, keyed by the inverse of w's first
-letter, so no word is inverted.  Each tail carries its rank counts, so a
-walk reads free ranks and local freeness off counts it adds and takes away
-at each step; a module, one StringWord in canonical direction, is built
-only where one is returned.
+letter, so no word is inverted.  Each tail carries its rank counts, summed
+from `modules.count_table` (the `modules` docstring states their layout), so
+a walk reads free ranks and local freeness off counts it adds and takes away
+at each step; a module, one StringWord in canonical direction, is built only
+where one is returned.
+
+The word-level side steps `add_right`, `delete_right`, `add_left`,
+`delete_left` and `extendable` are the documented hook and cohook API: they
+are the paper's hooks and cohooks on StringWords, which no library path
+needs but which the tests check for commutation, round trips and the rays
+that are not locally free.  They read the same ends as the kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from .algebra import (
     arrows_by_source,
     arrows_by_target,
     is_ctilde,
-    loop_arrows,
     relation_lengths,
     spine_arrows,
 )
@@ -55,7 +61,7 @@ from .modules import (
     ZERO,
     BandModuleClass,
     StringModule,
-    band_module,
+    count_table,
     dim_sum,
     dim_vector,
     format_module,
@@ -187,19 +193,17 @@ class _Table(Record):
     special  raw word, either way round, of P_i, I_i or a ray class -> its `_Special`
     longest  the length of the longest special word
     visit    vertex -> the counts of one visit there
-    weight   letter c -> its counts at the right end of a word: a visit at
-             its source, and itself if it is a loop
+    weight   letter c -> its counts
+    ranks    counts -> the free rank vector, None when not locally free
     right    the right end
     left     the left end, the right one inverted
 
-    A word's counts hold, per vertex, its visits there, or at a loop vertex
-    its loop letters, then per loop vertex its visits less twice its loop
-    letters.  The word is locally free when those last are all zero, and
-    then the first n are its free ranks.
+    `visit`, `weight` and `ranks` are those of `modules.count_table(p)`; the
+    `modules` docstring states the layout of the counts.
     """
 
     __slots__ = ("presentation", "ray", "side", "special", "longest", "visit", "weight",
-                 "right", "left")
+                 "ranks", "right", "left")
 
     def counts(self, raw):
         """The counts of a raw word: a visit at its first target, and its letters'."""
@@ -211,11 +215,6 @@ class _Table(Record):
         """The raw word of the StringWord w and its counts."""
         raw = _raw(w)
         return raw, self.counts(raw)
-
-    def ranks(self, counts):
-        """The free rank vector that counts give, None when not locally free."""
-        n = self.presentation.n
-        return None if any(counts[n:]) else counts[:n]
 
     def key(self, raw):
         """The canonical raw word of the module of a raw word."""
@@ -286,22 +285,11 @@ def kernel(p):
         ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
         special.setdefault(string_module(ray[c]).word, _Special({}, [])).letters.append(c)
     special = {_raw(v): e for w, e in special.items() for v in (w, w.inverse)}
-    slot = {v: i for i, v in enumerate(sorted({a.source for a in loop_arrows(p)}), start=p.n)}
-
-    def vector(*pairs):
-        v = [0] * (p.n + len(slot))
-        for i, k in pairs:
-            v[i] += k
-        return tuple(v)
-
-    visit = {v: vector((slot.get(v, v - 1), 1)) for v in p.vertices}
-    weight = {c: vector((slot.get(c.source, c.source - 1), 1),
-                        *(((c.source - 1, 1), (slot[c.source], -2)) if c.arrow.is_loop else ()))
-              for c in side}
+    counts = count_table(p)
     right = {}
     for c, r in ray.items():
         letters = (c,) + r.letters
-        right[c] = _Tail(c, letters, side[c], _plus(*map(weight.__getitem__, letters)),
+        right[c] = _Tail(c, letters, side[c], _plus(*map(counts.weight.__getitem__, letters)),
                          StringWord(p, (), c.target, side[c]))
     left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag, t.counts,
                      StringWord(p, (), c.target, -t.tag))
@@ -318,8 +306,8 @@ def kernel(p):
             deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
         return _End(is_left, adds, deletes, tails, checked)
 
-    return _Table(p, ray, side, special, max(map(len, special)), visit, weight,
-                  end(False, right), end(True, left))
+    return _Table(p, ray, side, special, max(map(len, special)), counts.visit, counts.weight,
+                  counts.ranks, end(False, right), end(True, left))
 
 
 def _entry(w):
@@ -469,10 +457,8 @@ def ar_sequence_starting_at(m):
     if m is ZERO:
         raise DomainError("no AR-sequence at the zero module")
     if isinstance(m, BandModuleClass):
-        middle = [band_module(m.band, m.param, m.level + 1)]
-        if m.level > 1:
-            middle.append(band_module(m.band, m.param, m.level - 1))
-        return ARSequence(m, tuple(middle), m, "BandSelf")
+        middle = tuple(BandModuleClass(m.band, m.param, k) for k in (m.level + 1, m.level - 1) if k)
+        return ARSequence(m, middle, m, "BandSelf")
     table = kernel(m.word.presentation)
     seq = _sequence(table, _raw(m.word), None)
     if seq is None:

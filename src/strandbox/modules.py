@@ -18,6 +18,20 @@ between the two representations stays the oracle of the count.
 Ext^1 is computed for locally free modules only, through the homological
 identity  hom(X,Y) - ext1(X,Y) = <rank X, rank Y>  with the
 orientation-dependent bilinear form from `roots`.
+
+Free ranks and local freeness are read off one count table per
+presentation (`count_table`), which the tau kernel of `artrans` reads too.
+M is locally free when each e_iM is free over H_i (Geiss-Leclerc-Schroer):
+at a loop vertex the loop acts as a square-zero map of rank dim_i/2, so
+every visit of the walk is paired by a loop letter.  A word's counts are a
+vector of n + (number of loop vertices) entries: per vertex its visits
+there, or at a loop vertex its loop letters, then per loop vertex its
+visits less twice its loop letters.  A letter's counts (its weight) are a
+visit at its source, and itself if it is a loop; a word's are its letters'
+weights, and a string's also a visit at its first target, since the walk
+visits each letter's source and a string also its first target.  The word
+is locally free when the last entries are all zero, and then the first n
+are its free ranks.
 """
 
 from __future__ import annotations
@@ -184,35 +198,56 @@ def dim_sum(m):
     return sum(dim_vector(m))
 
 
+class _CountTable(Record):
+    """The counts of one presentation, in the layout of the module
+    docstring:
+
+    n       the number of vertices
+    visit   vertex -> the counts of one visit there
+    weight  letter c -> its counts: a visit at its source, and itself if it
+            is a loop
+    """
+
+    __slots__ = ("n", "visit", "weight")
+
+    def ranks(self, counts):
+        """The free rank vector that counts give, None when not locally free:
+        the one rank rule."""
+        n = self.n
+        return None if any(counts[n:]) else counts[:n]
+
+
 @lru_cache(maxsize=None)
-def _loop_letters(p):
-    """Loop vertex -> the letters, of either sign, of the loops there."""
-    loops = loop_arrows(p)
-    return {v: tuple(Letter(a, s) for a in loops if a.source == v for s in (1, -1))
-            for v in sorted({a.source for a in loops})}
+def count_table(p):
+    """The count table of p, built once: see `_CountTable`."""
+    slot = {v: i for i, v in enumerate(sorted({a.source for a in loop_arrows(p)}), start=p.n)}
+
+    def vector(*pairs):
+        v = [0] * (p.n + len(slot))
+        for i, k in pairs:
+            v[i] += k
+        return tuple(v)
+
+    visit = {v: vector((slot.get(v, v - 1), 1)) for v in p.vertices}
+    weight = {c: vector((slot.get(c.source, c.source - 1), 1),
+                        *(((c.source - 1, 1), (slot[c.source], -2)) if a.is_loop else ()))
+              for a in p.arrows for c in (Letter(a, 1), Letter(a, -1))}
+    return _CountTable(p.n, visit, weight)
 
 
 def free_rank_vector(m):
-    """The free ranks r_i of m, its dimensions halved at the loop vertices,
-    or None when m is not locally free.  Locally free means e_iM free over
-    H_i for all i: at a loop vertex the loop acts as a square-zero map of
-    rank dim_i/2, i.e. every visit is paired by a loop edge.  The letters
-    are counted once, for both answers: the walk visits each letter's
-    source, and a string also its first target."""
+    """The free ranks r_i of m, or None when m is not locally free: the
+    `_CountTable.ranks` of its counts, scaled by the block size.  The letters
+    are read in one pass: each distinct letter's weight is added once, times
+    its uses."""
     w, d = _word_data(m)
-    p = w.presentation
-    uses = Counter(w.letters)
-    visits = [0] * (p.n + 1)  # by vertex; vertex 0 is none
-    for c, k in uses.items():
-        visits[c.source] += k
+    t = count_table(w.presentation)
+    vectors = [t.weight[c] if k == 1 else [k * x for x in t.weight[c]]
+               for c, k in Counter(w.letters).items()]
     if w.__class__ is StringWord:
-        visits[w.target] += 1
-    for v, ls in _loop_letters(p).items():
-        pairs = sum(map(uses.__getitem__, ls))
-        if 2 * pairs != visits[v]:
-            return None
-        visits[v] = pairs
-    return tuple([d * k for k in visits[1:]])
+        vectors.append(t.visit[w.target])
+    ranks = t.ranks(tuple(map(sum, zip(*vectors))))
+    return None if ranks is None else tuple([d * k for k in ranks])
 
 
 def is_locally_free(m):

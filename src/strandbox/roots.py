@@ -10,6 +10,7 @@ cross-checking.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, InternalCheckError
@@ -25,8 +26,10 @@ class CartanData(Record):
         return self.rows[i - 1][j - 1]
 
 
+@lru_cache(maxsize=None)
 def cartan(n):
-    """The C-tilde_{n-1} Cartan matrix with minimal symmetrizer diag(2,1,..,1,2)."""
+    """The C-tilde_{n-1} Cartan matrix with minimal symmetrizer diag(2,1,..,1,2),
+    built and checked symmetrizable once per n."""
     if n < 3:
         raise DomainError("the C-tilde Cartan pattern requires n >= 3")
     rows = []

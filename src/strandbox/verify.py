@@ -21,7 +21,7 @@ from .artrans import kernel, orbit, tau, tau_inv, tube_bottom
 from .errors import DomainError, InternalCheckError, UnsupportedPresentation
 from .linalg import field_char
 from .modules import (
-    band_module,
+    BandModuleClass,
     canonical_simple_param,
     dim_vector,
     format_module,
@@ -230,6 +230,10 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     `char` that names no field are refused up front.
     Band witnesses take the canonical parameter over the field of
     characteristic `char`, so that each is a band module over that field.
+    The bands come canonical from `enumerate_bands` and the parameters from
+    `canonical_simple_param`, so each witness is built as it stands; a band
+    class's ranks and local freeness are counted once, on its degree-1,
+    level-1 module, since degree s and level l only scale the counts by s l.
     The table also holds, as `bottom`, the tube's bottom row it walked (a
     tuple, empty at bound 0)."""
     if bound < 0:
@@ -266,16 +270,17 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     ht_delta = height(delta(cd))
     max_dl = bound // ht_delta
     if max_dl >= 1:
+        params = [canonical_simple_param(s, char) for s in range(1, max_dl + 1)]
         for b in enumerate_bands(p, max_dl):
+            m = BandModuleClass(b, params[0], 1)
+            one = free_rank_vector(m)
+            if one is None:
+                raise InternalCheckError(f"band module {format_module(m)} is not locally free")
             t = delta_length(b)
             for s in range(1, max_dl // t + 1):
                 for level in range(1, max_dl // (t * s) + 1):
-                    m = band_module(b, canonical_simple_param(s, char), level)
-                    rv = free_rank_vector(m)
-                    if rv is None:
-                        raise InternalCheckError(f"band module {format_module(m)} is not "
-                                                 f"locally free")
-                    add(Witness("band", m, level=level), rv)
+                    add(Witness("band", BandModuleClass(b, params[s - 1], level), level=level),
+                        tuple([s * level * r for r in one]))
     return _WitnessTable(witnesses, bottom)
 
 

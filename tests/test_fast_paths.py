@@ -11,7 +11,10 @@ compared with the sweep over every sign word of the standard form on every
 orientation with n = 3, 4, 5.  On every module that `check_gls` walks at
 bound 3 ht(delta) for n = 3, 4, 5, the counts the tau kernel carries give
 the ranks of `free_rank_vector` and of the walk, and each kernel step on
-letter tuples gives the module of the inversion oracle.
+letter tuples gives the module of the inversion oracle.  The kernel reads its
+counts from the one count table of `modules`, and the band witnesses of the
+witness table, counted once per band class and built without `band_module`,
+have the walk's ranks and the module `band_module` builds.
 """
 
 import itertools
@@ -43,9 +46,10 @@ from strandbox import (
     string_module,
     tau,
     tau_inv,
+    tau_locally_free_rank_vectors,
     validate_string_algebra,
 )
-from strandbox import artrans
+from strandbox import artrans, modules
 from strandbox.algebra import arrow_named
 from strandbox.errors import InternalCheckError, NotLocallyFree
 from strandbox.roots import height
@@ -209,6 +213,31 @@ def test_free_rank_vector_matches_the_walk_count(p):
                 for b in bands(p) for s, level in ((1, 1), (1, 3), (2, 2))]
     for m in modules:
         assert free_rank_vector(m) == free_rank_vector_by_walk(m), m
+
+
+@pytest.mark.parametrize("p", CTILDE, ids=ids)
+def test_the_tau_kernel_reads_the_count_table_of_modules(p):
+    """The kernel's visit and weight tables are the very objects of
+    `modules.count_table`, and its rank rule is that table's: free ranks and
+    local freeness are counted in one place."""
+    k, counts = artrans.kernel(p), modules.count_table(p)
+    assert k.visit is counts.visit and k.weight is counts.weight
+    assert k.ranks == counts.ranks
+
+
+@pytest.mark.parametrize("p", CTILDE, ids=ids)
+def test_band_witnesses_match_the_walk_count_and_band_module(p):
+    """Each band witness at bound 3 ht(delta), whose ranks are counted once
+    per band class and scaled by degree and level, and whose module is built
+    from the canonical band as it stands: its key is the walk's rank vector,
+    and its module is `band_module` of its own fields."""
+    table = tau_locally_free_rank_vectors(p, 3 * height(delta(cartan(p.n))))
+    witnesses = [(rv, w) for rv, ws in table.items() for w in ws if w.family == "band"]
+    assert {w.module.param_degree for _, w in witnesses} == {1, 2, 3}
+    for rv, w in witnesses:
+        m = w.module
+        assert rv == free_rank_vector_by_walk(m), m
+        assert m == band_module(m.band, m.param, m.level) and w.level == m.level, m
 
 
 def test_tau_inv_refuses_an_ambiguous_ray_class(monkeypatch, a3):

@@ -3,7 +3,9 @@ imports another module's private (underscored) names, every top-level
 function or class is used somewhere in the package or exported, only
 `artrans.neighbours` reads AR-sequences inside `artrans`, only
 `verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
-that the expected band count stays independent of the enumeration), every
+that the expected band count stays independent of the enumeration), no
+function in `verify` calls `band_module` (the canonical bands are not
+checked again), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
 `json`, which only the exports and the CLI need), and
@@ -102,6 +104,14 @@ def test_only_the_witness_table_enumerates_bands_in_verify():
     """`check_gls` counts band classes by `_band_classes`, not by a second
     call of `enumerate_bands`, so a class the enumeration loses shows."""
     assert _callers("verify.py", "enumerate_bands") == {"tau_locally_free_rank_vectors"}
+
+
+def test_no_function_in_verify_revalidates_a_band():
+    """The band witnesses are built from the canonical bands of
+    `enumerate_bands` as they stand: no function in `verify` calls
+    `band_module`, which would canonicalise each band and check each
+    parameter again."""
+    assert _callers("verify.py", "band_module") == set()
 
 
 def _tracer_named():

@@ -38,6 +38,13 @@ def test_cartan_matrix_pattern():
         cartan(2)
 
 
+def test_cartan_is_built_once_per_n():
+    """`cartan` is cached per n, so every caller shares one immutable value,
+    equal to a freshly built one."""
+    for n in range(3, 9):
+        assert cartan(n) is cartan(n) and cartan(n) == cartan.__wrapped__(n)
+
+
 def test_dc_symmetric():
     for n in range(3, 9):
         cd = cartan(n)

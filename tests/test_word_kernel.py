@@ -174,7 +174,7 @@ def records(p):
     w = parse_word(p, "a21~.a32~.e3.a32.a21")
     band = parse_band(p, "e1.a21~.a32~.e3.a32.a21")
     m = band_module(band, (1, 0, 1), 2)  # canonical_simple_param(2, 7)
-    cd = cartan(p.n)
+    cd = cartan.__wrapped__(p.n)  # `cartan` is cached per n; this builds a value of its own
     return {
         "Arrow": p.arrows[0],
         "Presentation": p,
