@@ -77,10 +77,7 @@ def spine_arrow_name(j, i):
 
 
 def normalize_orientation(orientation, n):
-    if isinstance(orientation, str):
-        orientation = tuple(orientation)
-    else:
-        orientation = tuple(orientation)
+    orientation = tuple(orientation)
     if len(orientation) != n - 1 or any(d not in ("R", "L") for d in orientation):
         raise DomainError(f"orientation must be {n - 1} letters from {{R,L}}")
     return orientation

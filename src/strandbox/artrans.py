@@ -37,9 +37,10 @@ where one is returned.
 
 The word-level side steps `add_right`, `delete_right`, `add_left`,
 `delete_left` and `extendable` are the documented hook and cohook API: they
-are the paper's hooks and cohooks on StringWords, which no library path
-needs but which the tests check for commutation, round trips and the rays
-that are not locally free.  They read the same ends as the kernel.
+are the paper's hooks and cohooks on StringWords, which the tests check for
+commutation, round trips and the rays that are not locally free.  The
+translations step raw words instead; `is_minimal` reads `extendable`.  They
+read the same ends as the kernel.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .strings import (
     StringWord,
     can_append,
     canonical_letters,
+    canonical_string,
     enumerate_strings,
     format_letters,
     format_word,
@@ -206,10 +208,10 @@ class _Table(Record):
                  "ranks", "right", "left")
 
     def counts(self, raw):
-        """The counts of a raw word: a visit at its first target, and its letters'."""
+        """The counts of a raw word, as `modules.count_table` sums them."""
         if raw.__class__ is not tuple:
             return self.visit[raw.base]
-        return _plus(self.visit[raw[0].target], *map(self.weight.__getitem__, raw))
+        return count_table(self.presentation).counts(raw, raw[0].target)
 
     def counted(self, w):
         """The raw word of the StringWord w and its counts."""
@@ -218,9 +220,7 @@ class _Table(Record):
 
     def key(self, raw):
         """The canonical raw word of the module of a raw word."""
-        if raw.__class__ is tuple:
-            return canonical_letters(raw)
-        return raw if raw.tag == 1 else StringWord(self.presentation, (), raw.base)
+        return canonical_letters(raw) if raw.__class__ is tuple else canonical_string(raw)
 
     def module(self, raw):
         """The string module of a raw word; one StringWord is built."""
@@ -230,6 +230,21 @@ class _Table(Record):
     def entry(self, raw):
         """The raw word's `_Special`, or None; longer words are not looked up."""
         return self.special.get(raw) if len(raw) <= self.longest else None
+
+    def grows(self, raw, sign):
+        """The first and last letters of a raw word whose `shift` by the sign
+        adds a tail at both ends, read off those two letters alone; None
+        unless the word is longer than every special word, no relation is
+        longer than 2 and both ends hold an add tail for its end letter.
+
+        Such a step leaves a longer word ending in the two tails' letters.
+        So once a pair recurs along an unbroken run of such words, every
+        later step repeats the run, each period adding the same counts.
+        """
+        long = len(raw) > self.longest and self.right.checked is None
+        if long and (raw[-1], sign) in self.right.adds and (raw[0].inverse, sign) in self.left.adds:
+            return raw[0], raw[-1]
+        return None
 
     def shift(self, raw, counts, sign):
         """tau^{-1} (sign +1) or tau (sign -1) on a raw word and its counts:
@@ -266,10 +281,6 @@ class _Table(Record):
             row = [(self.module(raw), raw, counts) for raw, counts in up]
 
 
-def _plus(*vectors):
-    return tuple(map(sum, zip(*vectors)))
-
-
 def _moved(counts, tail, added):
     """counts with the tail's added or taken away; None stays None."""
     return None if counts is None else tuple(map(add if added else sub, counts, tail.counts))
@@ -285,11 +296,11 @@ def kernel(p):
         ray[c] = word(p, added) if added else trivial_word(p, c.source, -side[c.inverse])
         special.setdefault(string_module(ray[c]).word, _Special({}, [])).letters.append(c)
     special = {_raw(v): e for w, e in special.items() for v in (w, w.inverse)}
-    counts = count_table(p)
+    table = count_table(p)
     right = {}
     for c, r in ray.items():
         letters = (c,) + r.letters
-        right[c] = _Tail(c, letters, side[c], _plus(*map(counts.weight.__getitem__, letters)),
+        right[c] = _Tail(c, letters, side[c], table.counts(letters),
                          StringWord(p, (), c.target, side[c]))
     left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag, t.counts,
                      StringWord(p, (), c.target, -t.tag))
@@ -306,8 +317,8 @@ def kernel(p):
             deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
         return _End(is_left, adds, deletes, tails, checked)
 
-    return _Table(p, ray, side, special, max(map(len, special)), counts.visit, counts.weight,
-                  counts.ranks, end(False, right), end(True, left))
+    return _Table(p, ray, side, special, max(map(len, special)), table.visit, table.weight,
+                  table.ranks, end(False, right), end(True, left))
 
 
 def _entry(w):
@@ -621,20 +632,13 @@ class ComponentGraph:
         return {format_module(m): m for m in self.dist or chain.from_iterable(self.rows)}
 
 
-def tube_rows(p):
-    """The rows of the rank-(n-1) tube, bottom first, without end, as
-    `_Table.tube` walks them."""
-    for row in kernel(p).tube():
-        yield [m for m, _ in row]
-
-
 def tube_rank(p, levels=None):
     """A window of the rank-(n-1) tube: `levels` rows built upward by rays."""
     if levels is None:
         levels = p.n
     if levels < 1:
         raise DomainError("a tube window needs at least one level")
-    rows = list(islice(tube_rows(p), levels))
+    rows = [[m for m, _ in row] for row in islice(kernel(p).tube(), levels)]
     g = ComponentGraph("TubeRank", p.n - 1, set(), set(), rows=rows)
     for x in chain.from_iterable(rows[:-1]):
         _add_mesh(g, x, 1)

@@ -216,6 +216,15 @@ class _CountTable(Record):
         n = self.n
         return None if any(counts[n:]) else counts[:n]
 
+    def counts(self, letters, first=None):
+        """The counts of a word: each distinct letter's weight times its uses,
+        in one pass over the letters, and a visit at `first` (a string's
+        first target) unless it is None."""
+        vectors = [] if first is None else [self.visit[first]]
+        vectors += [self.weight[c] if k == 1 else [k * x for x in self.weight[c]]
+                    for c, k in Counter(letters).items()]
+        return tuple(map(sum, zip(*vectors)))
+
 
 @lru_cache(maxsize=None)
 def count_table(p):
@@ -237,16 +246,11 @@ def count_table(p):
 
 def free_rank_vector(m):
     """The free ranks r_i of m, or None when m is not locally free: the
-    `_CountTable.ranks` of its counts, scaled by the block size.  The letters
-    are read in one pass: each distinct letter's weight is added once, times
-    its uses."""
+    `_CountTable.ranks` of its `_CountTable.counts`, scaled by the block
+    size."""
     w, d = _word_data(m)
     t = count_table(w.presentation)
-    vectors = [t.weight[c] if k == 1 else [k * x for x in t.weight[c]]
-               for c, k in Counter(w.letters).items()]
-    if w.__class__ is StringWord:
-        vectors.append(t.visit[w.target])
-    ranks = t.ranks(tuple(map(sum, zip(*vectors))))
+    ranks = t.ranks(t.counts(w.letters, w.target if w.__class__ is StringWord else None))
     return None if ranks is None else tuple([d * k for k in ranks])
 
 

@@ -5,7 +5,8 @@ enumerated as the closure of the simple roots under height-increasing
 reflections within a height bound, together with the multiples of the
 minimal imaginary root delta = (1,2,...,2,1).  The closed-form description via
 beta/gamma Coxeter orbits plus delta-shifted window sums is provided for
-cross-checking.
+cross-checking; each orbit is read off its first period of n-1 steps, since
+c^{n-1} shifts it by a positive multiple of delta.
 """
 
 from __future__ import annotations
@@ -249,52 +250,34 @@ def gamma(cd, seq, k, polarity="+"):
     return beta(cd, seq, k, "-" if polarity == "+" else "+")
 
 
-def bounded_orbit(cd, orbit, bound, vector=lambda x: x):
-    """The items of a Coxeter orbit up to n-1 past its last one of height <= bound.
-
-    `orbit` iterates x_0, x_1, ... with vector(x_{r+1}) = c^{-1}(vector(x_r))
-    for preprojective or c(vector(x_r)) for preinjective roots, where c is the
-    Coxeter transformation of a +-admissible sequence; for module orbits
-    under tau^{-1} and tau this is Coxeter compatibility.  Iteration stops
-    after n-1 consecutive items of height > bound, which are yielded too.
-
-    Why nothing later lies within the bound.  Some power of an affine Coxeter
-    transformation is a shift by multiples of delta (Dlab-Ringel, Mem. AMS
-    173, 1976); here c^{n-1}(x) = x + d(x)*delta and c^{-(n-1)}(x) =
-    x - d(x)*delta with d linear (tests/test_roots.py checks this for
-    n = 3..8, every orientation and every admissible sequence).  As c fixes
-    delta, d(c(x)) = d(x), so along one orbit x_{r+n-1} - x_r = D*delta for a
-    single integer D; each step asserts D > 0.  Heights then grow in every
-    residue class of r mod n-1, so once x_s .. x_{s+n-2} all exceed the
-    bound, every x_r with r >= s does.
-    """
-    period = cd.n - 1
-    dl = delta(cd)
-    seen = []
-    misses = 0
-    for item in orbit:
-        x = vector(item)
-        if len(seen) >= period:
-            earlier = seen[-period]
-            shift = x[0] - earlier[0]
-            if shift <= 0 or any(a - b != shift * d for a, b, d in zip(x, earlier, dl)):
-                raise InternalCheckError(f"{x} is not {earlier} plus a positive multiple of delta")
-        seen.append(x)
-        yield item
-        misses = misses + 1 if height(x) > bound else 0
-        if misses == period:
-            return
-
-
 def _orbit_within_bound(cd, cox, start, power_sign, bound):
-    """{c^(power_sign * r)(start) : r >= 0} truncated to the height bound."""
-    def orbit(x):
-        while True:
-            yield x
-            x = cox.apply(x, power_sign)
+    """{x_r = c^(power_sign * r)(start) : r >= 0} truncated to the height
+    bound, in closed form.
 
-    return [x for x in bounded_orbit(cd, orbit(start), bound)
-            if is_nonnegative(x) and 0 < height(x) <= bound]
+    Only x_0 .. x_{n-1} are computed.  x_{n-1} - x_0 must be D*delta with
+    D > 0, and c must fix delta (c^{n-1} is a shift by multiples of delta,
+    Dlab-Ringel, Mem. AMS 173, 1976; tests/test_roots.py checks the shift
+    for n = 3..8 and every orientation).  Then x_{r+n-1} = c^r(x_{n-1}) =
+    x_r + D*delta by linearity, so x_{r+q(n-1)} = x_r + qD*delta for every
+    q: each residue class of r mod n-1 is read off its first member,
+    climbing by D*delta until it leaves the bound.
+    """
+    period, dl = cd.n - 1, delta(cd)
+    xs = [start]
+    for _ in range(period):
+        xs.append(cox.apply(xs[-1], power_sign))
+    shift = xs[-1][0] - start[0]
+    if shift <= 0 or any(a - b != shift * d for a, b, d in zip(xs[-1], start, dl)):
+        raise InternalCheckError(f"{xs[-1]} is not {start} plus a positive multiple of delta")
+    if cox.apply(dl, power_sign) != dl:
+        raise InternalCheckError("the Coxeter transformation does not fix delta")
+    out = []
+    for x in xs[:-1]:
+        while height(x) <= bound:
+            if is_nonnegative(x) and height(x) > 0:
+                out.append(x)
+            x = tuple([a + shift * d for a, d in zip(x, dl)])
+    return out
 
 
 def closed_form_families(cd, orientation, seq, bound):

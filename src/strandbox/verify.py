@@ -6,15 +6,16 @@ classes by delta-length, parameter degree and tube level), and their rank
 vectors compared against the enumerated positive roots.  Each orbit is
 walked once, on the letter tuples of the tau kernel (`artrans.kernel`),
 every walked module is checked locally free by the rank counts the walk
-carries, and each step is retraced by the opposite translation.  Failures
-are report content, not exceptions; a hard error only signals that a
-generated witness failed one of these checks.
+carries, and each step is retraced by the opposite translation.  The walk
+stops where the kernel proves the orbit periodic and its last period lies
+above the bound, so every later module is locally free and out of bound.
+Failures are report content, not exceptions; a hard error only signals
+that a generated witness failed one of these checks.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
 
 from .algebra import is_ctilde
 from .artrans import kernel, orbit, tau, tau_inv, tube_bottom
@@ -34,7 +35,6 @@ from .modules import (
 from .record import Record
 from .roots import (
     beta,
-    bounded_orbit,
     cartan,
     coxeter,
     delta,
@@ -44,10 +44,7 @@ from .roots import (
     is_admissible_sequence,
     quadratic,
 )
-from .strings import delta_length, enumerate_bands
-
-
-WINDOW = 10  # modules of each witness's tau-orbit checked on either side, itself included
+from .strings import enumerate_bands
 
 
 class Witness(Record):
@@ -75,7 +72,8 @@ class Witness(Record):
         if self.family == "tube":
             return f"level {self.level} pos {self.position}"
         m = self.module
-        return f"dl={delta_length(m.band)} deg={m.param_degree} level={self.level}"
+        dl = len(m.band) // (2 * m.band.presentation.n)  # each atom has 2n letters
+        return f"dl={dl} deg={m.param_degree} level={self.level}"
 
 
 class CheckReport:
@@ -160,45 +158,66 @@ class GLSReport:
         return "\n".join(lines)
 
 
-def _orbit(k, start, sign):
-    """(raw word, rank vector) along the orbit of start under tau^{-1} (sign
-    +1) or tau (sign -1), walked by the kernel k with the counts it carries;
-    each module must be locally free."""
-    step = k.counted(start.word)
-    while step is not None:
-        raw, counts = step
-        rv = k.ranks(counts)
-        if rv is None:
-            raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} "
-                                     f"is not locally free")
-        yield raw, rv
-        step = k.shift(raw, counts, sign)
-
-
 def _orbit_witnesses(cd, k, start, sign, bound):
     """(r, the module tau^{-r sign} start, its rank vector) for the modules of
     height <= bound on the orbit; only these are built as modules.
 
-    The orbit is walked once on raw words, through the stopping rule of
-    `bounded_orbit` and on to WINDOW - 1 steps past the last module
-    returned, and the opposite translation retraces every step: it takes
-    start to zero and walked[k] to walked[k-1], as the same raw word or,
-    failing that, the same module.
+    The orbit is walked once, on the raw words of the kernel k and the counts
+    they carry.  Each walked module must be locally free, its rank vector
+    n - 1 steps on must exceed it by a positive multiple of delta, and the
+    opposite translation retraces every step: it takes start to zero and
+    each module to the one before, as the same raw word or, failing that,
+    the same module.
+
+    The walk stops where it has proved that no later module is in the bound
+    or fails to be locally free: once the end letters that `_Table.grows`
+    reads recur along an unbroken run of growing words, and the last period
+    walked lies above the bound.  Every later step repeats the period, which
+    adds the same counts each time; they have no loop part, since both ends
+    of the period were checked locally free, and they climb in height, so
+    every later module is locally free and above the bound.  A period whose
+    heights do not climb, and a word that stops growing after n - 1 modules
+    above the bound, raise instead.  So the walk always ends: heights climb
+    by delta every n - 1 steps, and the end letter pairs are finitely many.
     """
-    orbit = _orbit(k, start, sign)
-    walked = list(bounded_orbit(cd, orbit, bound, itemgetter(1)))
-    inside = [r for r, (_, rv) in enumerate(walked) if height(rv) <= bound]
-    if inside:
-        walked += islice(orbit, max(0, inside[-1] + WINDOW - len(walked)))
-    raws = [raw for raw, _ in walked]
-    if k.shift(raws[0], None, -sign) is not None:
+    period, dl = cd.n - 1, delta(cd)
+    raw, counts = k.counted(start.word)
+    ranks, out, run, found, misses = [], [], {}, 0, 0
+
+    def fail(what):
+        raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} {what}")
+
+    while True:
+        r, rv = len(ranks), k.ranks(counts)
+        if rv is None:
+            fail("is not locally free")
+        if r >= period:
+            earlier = ranks[r - period]
+            shift = rv[0] - earlier[0]
+            if shift <= 0 or any(a - b != shift * d for a, b, d in zip(rv, earlier, dl)):
+                raise InternalCheckError(f"{rv} is not {earlier} plus a positive multiple of delta")
+        ranks.append(rv)
+        if not found:
+            ends = k.grows(raw, sign)
+            if ends is None and misses >= period:
+                fail(f"stops growing after {misses} modules above the bound")
+            run, i = (run, run.setdefault(ends, r)) if ends else ({}, r)
+            found = r - i
+            if found and height(rv) <= height(ranks[i]):
+                fail(f"ends a period of {found} steps that does not climb in height")
+        misses = misses + 1 if height(rv) > bound else 0
+        if not misses:
+            out.append((r, k.module(raw), rv))
+        step = None if found and misses >= found else k.shift(raw, counts, sign)
+        if step is None:
+            break
+        back = k.shift(step[0], None, -sign)
+        if back is None or back[0] != raw and k.key(back[0]) != k.key(raw):
+            fail(f"is not retraced from its translate {format_module(k.module(step[0]))}")
+        raw, counts = step
+    if k.shift(k.counted(start.word)[0], None, -sign) is not None:
         raise InternalCheckError(f"{format_module(start)} does not start its tau-orbit")
-    for prev, raw in zip(raws, raws[1:]):
-        back = k.shift(raw, None, -sign)
-        if back is None or back[0] != prev and k.key(back[0]) != k.key(prev):
-            raise InternalCheckError(f"tau-orbit step {format_module(k.module(prev))} -> "
-                                     f"{format_module(k.module(raw))} is not retraced")
-    return [(r, k.module(walked[r][0]), walked[r][1]) for r in inside]
+    return out
 
 
 def _field(p, char):
@@ -267,8 +286,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
             for pos, (m, rv) in enumerate(zip(members, ranks)):
                 if height(rv) <= bound:
                     add(Witness("tube", m, level=level, position=pos), rv)
-    ht_delta = height(delta(cd))
-    max_dl = bound // ht_delta
+    max_dl = bound // height(delta(cd))
     if max_dl >= 1:
         params = [canonical_simple_param(s, char) for s in range(1, max_dl + 1)]
         for b in enumerate_bands(p, max_dl):
@@ -276,7 +294,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
             one = free_rank_vector(m)
             if one is None:
                 raise InternalCheckError(f"band module {format_module(m)} is not locally free")
-            t = delta_length(b)
+            t = len(b) // (2 * p.n)  # each atom has 2n letters
             for s in range(1, max_dl // t + 1):
                 for level in range(1, max_dl // (t * s) + 1):
                     add(Witness("band", BandModuleClass(b, params[s - 1], level), level=level),

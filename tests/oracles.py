@@ -14,12 +14,15 @@ The last oracles are the library's earlier implementations of paths it now
 takes faster: canonical forms as a `min` over every candidate word, the
 C-tilde bands by a sweep over every sign word of the standard form, tau^-1
 read off the whole AR-sequence, local freeness counted by a generator per
-loop vertex, and the hook and cohook steps taken on the right end only, the
-left end being the right end of the inverse word.
+loop vertex, the hook and cohook steps taken on the right end only, the
+left end being the right end of the inverse word, and the orbit walks that
+stopped n-1 items past the last one in the bound (`bounded_orbit`), the
+verifier's walking on to WINDOW - 1 modules past its last witness.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from operator import itemgetter
 
 from strandbox import (
     ZERO,
@@ -34,6 +37,8 @@ from strandbox import (
 from strandbox.algebra import arrow_named
 from strandbox.artrans import ar_sequence_starting_at, kernel, ray
 from strandbox.errors import InternalCheckError
+from strandbox.modules import format_module
+from strandbox.roots import delta, height, is_nonnegative
 from strandbox.strings import (
     Band,
     Letter,
@@ -189,6 +194,94 @@ def fails_tau_local_freeness(m, window=10):
                 return True
             cur = step(cur)
     return False
+
+
+def bounded_orbit(cd, orbit, bound, vector=lambda x: x):
+    """The items of a Coxeter orbit up to n-1 past its last one of height <= bound.
+
+    `orbit` iterates x_0, x_1, ... with vector(x_{r+1}) = c^{-1}(vector(x_r))
+    for preprojective or c(vector(x_r)) for preinjective roots, where c is the
+    Coxeter transformation of a +-admissible sequence; for module orbits
+    under tau^{-1} and tau this is Coxeter compatibility.  Iteration stops
+    after n-1 consecutive items of height > bound, which are yielded too.
+
+    Why nothing later lies within the bound.  Some power of an affine Coxeter
+    transformation is a shift by multiples of delta (Dlab-Ringel, Mem. AMS
+    173, 1976); here c^{n-1}(x) = x + d(x)*delta and c^{-(n-1)}(x) =
+    x - d(x)*delta with d linear (tests/test_roots.py checks this for
+    n = 3..8, every orientation and every admissible sequence).  As c fixes
+    delta, d(c(x)) = d(x), so along one orbit x_{r+n-1} - x_r = D*delta for a
+    single integer D; each step asserts D > 0.  Heights then grow in every
+    residue class of r mod n-1, so once x_s .. x_{s+n-2} all exceed the
+    bound, every x_r with r >= s does.
+    """
+    period = cd.n - 1
+    dl = delta(cd)
+    seen = []
+    misses = 0
+    for item in orbit:
+        x = vector(item)
+        if len(seen) >= period:
+            earlier = seen[-period]
+            shift = x[0] - earlier[0]
+            if shift <= 0 or any(a - b != shift * d for a, b, d in zip(x, earlier, dl)):
+                raise InternalCheckError(f"{x} is not {earlier} plus a positive multiple of delta")
+        seen.append(x)
+        yield item
+        misses = misses + 1 if height(x) > bound else 0
+        if misses == period:
+            return
+
+
+def orbit_within_bound_by_walk(cd, cox, start, power_sign, bound):
+    """{c^(power_sign * r)(start) : r >= 0} truncated to the height bound,
+    walked one Coxeter step at a time through `bounded_orbit`."""
+    def orbit(x):
+        while True:
+            yield x
+            x = cox.apply(x, power_sign)
+
+    return [x for x in bounded_orbit(cd, orbit(start), bound)
+            if is_nonnegative(x) and 0 < height(x) <= bound]
+
+
+WINDOW = 10  # modules of each witness's tau-orbit checked on either side, itself included
+
+
+def _orbit_by_window(k, start, sign):
+    """(raw word, rank vector) along the orbit of start under tau^{-1} (sign
+    +1) or tau (sign -1), walked by the kernel k with the counts it carries;
+    each module must be locally free."""
+    step = k.counted(start.word)
+    while step is not None:
+        raw, counts = step
+        rv = k.ranks(counts)
+        if rv is None:
+            raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} "
+                                     f"is not locally free")
+        yield raw, rv
+        step = k.shift(raw, counts, sign)
+
+
+def orbit_witnesses_by_window(cd, k, start, sign, bound):
+    """(r, the module tau^{-r sign} start, its rank vector) for the modules of
+    height <= bound on the orbit, walked through the stopping rule of
+    `bounded_orbit` and on to WINDOW - 1 steps past the last module
+    returned; the opposite translation retraces every step."""
+    orbit = _orbit_by_window(k, start, sign)
+    walked = list(bounded_orbit(cd, orbit, bound, itemgetter(1)))
+    inside = [r for r, (_, rv) in enumerate(walked) if height(rv) <= bound]
+    if inside:
+        walked += islice(orbit, max(0, inside[-1] + WINDOW - len(walked)))
+    raws = [raw for raw, _ in walked]
+    if k.shift(raws[0], None, -sign) is not None:
+        raise InternalCheckError(f"{format_module(start)} does not start its tau-orbit")
+    for prev, raw in zip(raws, raws[1:]):
+        back = k.shift(raw, None, -sign)
+        if back is None or back[0] != prev and k.key(back[0]) != k.key(prev):
+            raise InternalCheckError(f"tau-orbit step {format_module(k.module(prev))} -> "
+                                     f"{format_module(k.module(raw))} is not retraced")
+    return [(r, k.module(walked[r][0]), walked[r][1]) for r in inside]
 
 
 def dense_rank(rows, char=0):

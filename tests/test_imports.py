@@ -4,8 +4,8 @@ function or class is used somewhere in the package or exported, only
 `artrans.neighbours` reads AR-sequences inside `artrans`, only
 `verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
 that the expected band count stays independent of the enumeration), no
-function in `verify` calls `band_module` (the canonical bands are not
-checked again), every
+function in `verify` calls `band_module` or `delta_length` (the canonical
+bands are not checked or measured again), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
 `json`, which only the exports and the CLI need), and
@@ -112,6 +112,14 @@ def test_no_function_in_verify_revalidates_a_band():
     `band_module`, which would canonicalise each band and check each
     parameter again."""
     assert _callers("verify.py", "band_module") == set()
+
+
+def test_no_function_in_verify_remeasures_a_band():
+    """A band of `enumerate_bands` is a word of t atoms of 2n letters each,
+    so `verify` reads its delta-length t off its length: no function there
+    calls `delta_length`, which would check the presentation and count the
+    loop letters of every band class again."""
+    assert _callers("verify.py", "delta_length") == set()
 
 
 def _tracer_named():

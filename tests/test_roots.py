@@ -19,10 +19,10 @@ from strandbox import (
     ringel_form,
     sym_form,
 )
-from strandbox.roots import bounded_orbit, height, reflect_orientation, simple_root
+from strandbox.roots import _orbit_within_bound, height, reflect_orientation, simple_root
 
 from conftest import all_orientations
-from oracles import reflection_closure_alt
+from oracles import bounded_orbit, orbit_within_bound_by_walk, reflection_closure_alt
 
 
 def test_cartan_matrix_pattern():
@@ -242,7 +242,8 @@ def test_closed_form_matches_bfs():
 
 
 def test_coxeter_power_n_minus_1_is_a_delta_shift():
-    # the premise of the stopping rule in roots.bounded_orbit
+    # the premise of the closed form of roots._orbit_within_bound and of the
+    # stopping rule of the oracle oracles.bounded_orbit
     for n in range(3, 9):
         cd = cartan(n)
         dl = delta(cd)
@@ -302,3 +303,20 @@ def test_alternating_orientation_closed_form():
     cd = cartan(4)
     seq = admissible_sequences(omega, "+")[0]
     assert closed_form_positive_roots(cd, omega, seq, 12) == enumerate_positive_roots(cd, 12)
+
+
+def test_the_closed_form_orbits_match_the_walked_orbits():
+    """`_orbit_within_bound` computes x_0 .. x_{n-1} and reads every residue
+    class off its first member; it returns the roots of the orbit that
+    `bounded_orbit` walks one Coxeter step at a time, for n = 3..8, every
+    orientation, both sides and the check_gls bounds of the benchmark."""
+    for n, bound in ((3, 14), (4, 14), (5, 14), (6, 20), (7, 21), (8, 28)):
+        cd = cartan(n)
+        for orient in all_orientations(n):
+            seq = admissible_sequences(orient, "+")[0]
+            cox = coxeter(cd, seq)
+            for k in range(1, n + 1):
+                for start, power in ((beta(cd, seq, k, "+"), -1), (gamma(cd, seq, k, "+"), 1)):
+                    got = _orbit_within_bound(cd, cox, start, power, bound)
+                    walked = orbit_within_bound_by_walk(cd, cox, start, power, bound)
+                    assert sorted(got) == sorted(walked), (orient, k, power)

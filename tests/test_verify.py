@@ -8,6 +8,7 @@ import pytest
 from strandbox import (
     ZERO,
     DomainError,
+    InternalCheckError,
     StringModule,
     UnsupportedPresentation,
     beta,
@@ -27,6 +28,7 @@ from strandbox import (
     format_module,
     hom_dim,
     hom_dim_modules,
+    injective_string,
     is_rigid,
     projective_string,
     quadratic,
@@ -37,11 +39,12 @@ from strandbox import (
     tube_bottom,
 )
 from strandbox import artrans, verify
+from strandbox.cli import main
 from strandbox.linalg import is_irreducible_mod
 from strandbox.roots import height
 
 from conftest import all_orientations
-from oracles import fails_tau_local_freeness
+from oracles import fails_tau_local_freeness, orbit_witnesses_by_window
 from test_word_kernel import linear_a4_with_a_cubic_relation
 
 
@@ -390,3 +393,59 @@ def test_gls_report_table_lists_what_failed(a3, monkeypatch):
         "  PROBLEM: real root (0, 0, 1) has 2 witnesses: tau^-0 P_3, tau^-0 P_3",
         "  => FAIL",
     ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_periodic_stop_returns_the_witnesses_of_the_window_walk(n):
+    """Each orbit walk stops where the kernel proves it periodic; it returns
+    exactly the witnesses of the earlier walk, which stopped n - 1 modules
+    past the last one in the bound and walked on to WINDOW - 1 past its last
+    witness: every orientation, every P_i and I_i, every bound up to
+    3 ht(delta)."""
+    cd = cartan(n)
+    for orient in all_orientations(n):
+        p = build_type_C_algebra(n, orient)
+        k = artrans.kernel(p)
+        for i in p.vertices:
+            for start, sign in ((projective_string(p, i), 1), (injective_string(p, i), -1)):
+                for bound in range(3 * height(delta(cd)) + 1):
+                    got = verify._orbit_witnesses(cd, k, start, sign, bound)
+                    assert got == orbit_witnesses_by_window(cd, k, start, sign, bound), \
+                        (orient, i, sign, bound)
+
+
+def test_an_orbit_that_stops_growing_is_an_internal_error(capsys, monkeypatch):
+    """With no word known to grow, no period is ever found: the walk raises
+    once it has gone n - 1 modules above the bound, rather than walking on,
+    and `verify-gls` exits 1."""
+    kernel = type(artrans.kernel(build_type_C_algebra(3, "RR")))
+    monkeypatch.setattr(kernel, "grows", lambda k, raw, sign: None)
+    with pytest.raises(InternalCheckError, match="stops growing"):
+        check_gls(build_type_C_algebra(4, "RRL"), 12)
+    assert main(["verify-gls", "--n", "3", "--orient", "RR", "--bound", "6"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "stops growing" in out.err
+
+
+def test_the_orbit_walk_stops_at_the_period_or_the_bound_whichever_is_later(a4, monkeypatch):
+    """n = 4: every P_i and I_i orbit is found periodic, with period n - 1 =
+    3, by step 2(n - 1) at the latest.  So each walk stops n - 1 modules past
+    its last witness, or at the period if that comes later: at bound 0 by
+    step 2(n - 1), at bound 30 exactly n - 1 steps past the last witness."""
+    steps = []
+    real = type(artrans.kernel(a4)).shift
+
+    def shift(k, raw, counts, sign):
+        steps[-1] += counts is not None
+        return real(k, raw, counts, sign)
+
+    monkeypatch.setattr(type(artrans.kernel(a4)), "shift", shift)
+    cd, k = cartan(4), artrans.kernel(a4)
+    for i in a4.vertices:
+        for start, sign in ((projective_string(a4, i), 1), (injective_string(a4, i), -1)):
+            for bound in (0, 30):
+                steps.append(0)
+                out = verify._orbit_witnesses(cd, k, start, sign, bound)
+                last = out[-1][0] if out else -1
+                assert last + 3 <= steps[-1] <= max(2 * 3, last + 3), (i, sign, bound)
+                assert bound == 0 or steps[-1] == last + 3, (i, sign, bound)
