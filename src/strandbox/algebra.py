@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedPresentation, require_size
 from .record import Record
 
 
@@ -85,8 +85,7 @@ def normalize_orientation(orientation, n):
 
 def build_type_C_algebra(n, orientation):
     """The C-tilde presentation: A_n spine, loops e1/en, relations e1^2, en^2."""
-    if n < 3:
-        raise DomainError("the C-tilde Cartan pattern requires n >= 3")
+    require_size("n", n, 3)
     orientation = normalize_orientation(orientation, n)
     e1 = Arrow("e1", 1, 1)
     en = Arrow(f"e{n}", n, n)
@@ -173,6 +172,13 @@ def is_ctilde(p: Presentation):
         return False
     edges = {frozenset((a.source, a.target)) for a in spine_arrows(p)}
     return edges == {frozenset((i, i + 1)) for i in range(1, p.n)}
+
+
+def require_ctilde(p, what):
+    """The one C-tilde gate: UnsupportedPresentation, naming `what`, unless
+    p is in the C-tilde family."""
+    if not is_ctilde(p):
+        raise UnsupportedPresentation(f"{what} is defined in the C-tilde family only, not on {p!r}")
 
 
 # ---------------------------------------------------------------------------

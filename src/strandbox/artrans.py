@@ -53,11 +53,11 @@ from .algebra import (
     arrow_key,
     arrows_by_source,
     arrows_by_target,
-    is_ctilde,
     relation_lengths,
+    require_ctilde,
     spine_arrows,
 )
-from .errors import DomainError, InternalCheckError, UnsupportedPresentation
+from .errors import DomainError, InternalCheckError, require_size
 from .modules import (
     ZERO,
     BandModuleClass,
@@ -558,8 +558,8 @@ def minimal_strings(p, max_len=12):
     Types other than (2,2) are complete; type (2,2) is enumerated up to the
     length bound (the family is infinite).
     """
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("the minimal-string classification assumes the C-tilde family")
+    require_ctilde(p, "the minimal-string classification")
+    require_size("max_len", max_len, 0)
     by_type = {t: [] for t in ((0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2))}
     by_src = arrows_by_source(p)
     by_tgt = arrows_by_target(p)
@@ -601,8 +601,7 @@ def tube_bottom(p):
     """The bottom tau-orbit, starting from ray(a) for the spine arrow a at vertex 1
     and following tau^{-1}; InternalCheckError unless n-1 steps of tau^{-1}
     bring it back to its start."""
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("tube construction assumes the C-tilde family")
+    require_ctilde(p, "the tube construction")
     at_one = [a for a in spine_arrows(p) if 1 in (a.source, a.target)]
     start = string_module(ray(p, Letter(at_one[0], 1)))
     walk = list(islice(orbit(start, tau_inv), p.n))
@@ -634,10 +633,8 @@ class ComponentGraph:
 
 def tube_rank(p, levels=None):
     """A window of the rank-(n-1) tube: `levels` rows built upward by rays."""
-    if levels is None:
-        levels = p.n
-    if levels < 1:
-        raise DomainError("a tube window needs at least one level")
+    levels = p.n if levels is None else levels
+    require_size("levels", levels, 1)
     rows = [[m for m, _ in row] for row in islice(kernel(p).tube(), levels)]
     g = ComponentGraph("TubeRank", p.n - 1, set(), set(), rows=rows)
     for x in chain.from_iterable(rows[:-1]):
@@ -666,10 +663,9 @@ def _add_mesh(g, m, sign):
 def build_component(seed, radius):
     """Breadth-first window of the AR component of `seed`: the modules at
     distance <= radius from it (radius 0 is the seed alone)."""
+    require_size("radius", radius, 0)
     if seed is ZERO:
         raise DomainError("cannot seed a component at zero")
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
     kind, rank = classify_component(seed)
     g = ComponentGraph(kind, rank, set(), set(), dist={seed: 0})
     frontier, d = [seed], 0
@@ -698,8 +694,7 @@ def classify_component(seed):
     if seed is ZERO:
         raise DomainError("cannot classify the zero module")
     band = isinstance(seed, BandModuleClass)
-    if not is_ctilde((seed.band if band else seed.word).presentation):
-        raise UnsupportedPresentation("the component classification assumes the C-tilde family")
+    require_ctilde((seed.band if band else seed.word).presentation, "the component classification")
     if band:
         return "HomogeneousTube", 1
     base = _descend_to_minimal(seed)

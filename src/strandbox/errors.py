@@ -19,3 +19,10 @@ class UnsupportedPresentation(StrandboxError):
 
 class InternalCheckError(StrandboxError):
     """A structural assertion of the AR calculus failed; indicates a bug."""
+
+
+def require_size(name, value, least):
+    """The one size rule: DomainError unless value is an int, not a bool, and
+    at least `least`."""
+    if value.__class__ is not int or value < least:
+        raise DomainError(f"{name} must be >= {least} and an int, not {value!r}")

@@ -42,7 +42,7 @@ from itertools import count, product
 
 from . import roots
 from .algebra import loop_arrows
-from .errors import DomainError, InternalCheckError, NotLocallyFree
+from .errors import DomainError, InternalCheckError, NotLocallyFree, require_size
 from .linalg import (
     companion_matrix,
     field_char,
@@ -143,9 +143,8 @@ def canonical_simple_param(s, char=0):
     the largest coefficient, then c_0, c_1, ..., each in 0..p-1: small
     coefficients come first, so the search stays short for any p.
     """
+    require_size("parameter degree", s, 1)
     char = field_char(char)
-    if s < 1:
-        raise DomainError("parameter degree must be >= 1")
     if s == 1:
         return (-1, 1)
     if not char:
@@ -160,15 +159,11 @@ def band_module(b, param=None, level=1):
     """The band module class of the band letters of b (a Band or a
     StringWord, trusted to form a band), canonicalised so that equal modules
     compare equal."""
-    b = canonical_band(b)
-    if param is None:
-        param = canonical_simple_param(1)
-    param = tuple(param)
+    require_size("band level", level, 1)
+    param = canonical_simple_param(1) if param is None else tuple(param)
     if len(param) < 2 or param[-1] != 1 or param[0] == 0:
         raise DomainError("band parameter must be monic of degree >= 1 with nonzero constant term")
-    if level < 1:
-        raise DomainError("band level must be >= 1")
-    return BandModuleClass(b, param, level)
+    return BandModuleClass(canonical_band(b), param, level)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +499,11 @@ def _max_paths(p, i, sign):
             for c in raw_extensions(trivial_word(p, i), sign)]
 
 
+@lru_cache(maxsize=None, typed=True)
 def _glued(p, i, sign):
-    """P_i (sign -1) or I_i (sign +1): the maximal paths at i glued there."""
+    """P_i (sign -1) or I_i (sign +1): the maximal paths at i glued there;
+    built once per (p, i, sign), typed, so that a vertex 2.0 misses the entry
+    of 2 and `trivial_word` refuses it."""
     paths = _max_paths(p, i, sign)
     if not paths:
         return simple_module(p, i)
@@ -586,14 +584,6 @@ def format_vector(x):
     return "(" + ",".join(map(str, x)) + ")"
 
 
-def _parse_param(text):
-    """A parameter field of a band text: ascending coefficients if it has a
-    comma, else the degree of `canonical_simple_param`."""
-    if "," in text:
-        return tuple(int(c) for c in text.split(","))
-    return canonical_simple_param(int(text))
-
-
 def parse_module(p, text):
     text = text.strip()
     if text == "zero":
@@ -605,10 +595,12 @@ def parse_module(p, text):
             raise DomainError(f"bad band module: {text!r}")
         band = parse_band(p, parts[0])
         try:
-            param = _parse_param(parts[1]) if len(parts) > 1 else canonical_simple_param(1)
+            # ascending coefficients if the parameter has a comma, else a degree
+            param = [int(c) for c in parts[1].split(",")] if len(parts) > 1 else [1]
             level = int(parts[2]) if len(parts) > 2 else 1
         except ValueError:
             raise DomainError(f"band parameter and level must be integers: {text!r}") from None
+        param = param if len(param) > 1 else canonical_simple_param(param[0])
         return band_module(band, param, level)
     return string_module(parse_word(p, text))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, require_size
 from .record import Record
 
 
@@ -27,12 +27,12 @@ class CartanData(Record):
         return self.rows[i - 1][j - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cartan(n):
     """The C-tilde_{n-1} Cartan matrix with minimal symmetrizer diag(2,1,..,1,2),
-    built and checked symmetrizable once per n."""
-    if n < 3:
-        raise DomainError("the C-tilde Cartan pattern requires n >= 3")
+    built and checked symmetrizable once per n (typed, so that 3.0 misses the
+    entry of 3 and is refused)."""
+    require_size("n", n, 3)
     rows = []
     for i in range(1, n + 1):
         row = [0] * n
@@ -61,6 +61,23 @@ def simple_root(cd, i):
 
 def height(x):
     return sum(x)
+
+
+def delta_shift(dl, x, y):
+    """The D > 0 with y = x + D*delta, for delta = dl; InternalCheckError
+    when there is none."""
+    shift = y[0] - x[0]
+    if shift <= 0 or any(a - b != shift * d for a, b, d in zip(y, x, dl)):
+        raise InternalCheckError(f"{y} is not {x} plus a positive multiple of delta")
+    return shift
+
+
+def climb(x, step, bound):
+    """x, x + step, x + 2 step, ... while the height is <= bound; step has
+    positive height."""
+    while height(x) <= bound:
+        yield x
+        x = tuple([a + b for a, b in zip(x, step)])
 
 
 def is_nonnegative(x):
@@ -123,8 +140,7 @@ def enumerate_positive_roots(cd, bound):
     induction on the height, a chain of such steps within the bound leads
     from a simple root up to beta.
     """
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
+    require_size("bound", bound, 0)
     dl = delta(cd)
     cols = list(zip(*cd.rows))
     queue = [(simple_root(cd, i + 1), cols[i]) for i in range(cd.n)] if bound >= 1 else []
@@ -140,10 +156,7 @@ def enumerate_positive_roots(cd, bound):
     for x in found:
         if quadratic(cd, x) not in (1, 2):
             raise InternalCheckError(f"real-root candidate {x} has bad length")
-    m = 1
-    while m * height(dl) <= bound:
-        found.add(tuple(m * v for v in dl))
-        m += 1
+    found.update(climb(dl, dl, bound))
     return found
 
 
@@ -255,29 +268,24 @@ def _orbit_within_bound(cd, cox, start, power_sign, bound):
     bound, in closed form.
 
     Only x_0 .. x_{n-1} are computed.  x_{n-1} - x_0 must be D*delta with
-    D > 0, and c must fix delta (c^{n-1} is a shift by multiples of delta,
-    Dlab-Ringel, Mem. AMS 173, 1976; tests/test_roots.py checks the shift
-    for n = 3..8 and every orientation).  Then x_{r+n-1} = c^r(x_{n-1}) =
-    x_r + D*delta by linearity, so x_{r+q(n-1)} = x_r + qD*delta for every
-    q: each residue class of r mod n-1 is read off its first member,
-    climbing by D*delta until it leaves the bound.
+    D > 0 (`delta_shift`), and c must fix delta (c^{n-1} is a shift by
+    multiples of delta, Dlab-Ringel, Mem. AMS 173, 1976; tests/test_roots.py
+    checks the shift for n = 3..8 and every orientation).  Then
+    x_{r+n-1} = c^r(x_{n-1}) = x_r + D*delta by linearity, so
+    x_{r+q(n-1)} = x_r + qD*delta for every q: each residue class of r mod
+    n-1 is read off its first member, climbing by D*delta until it leaves
+    the bound (`climb`).
     """
     period, dl = cd.n - 1, delta(cd)
     xs = [start]
     for _ in range(period):
         xs.append(cox.apply(xs[-1], power_sign))
-    shift = xs[-1][0] - start[0]
-    if shift <= 0 or any(a - b != shift * d for a, b, d in zip(xs[-1], start, dl)):
-        raise InternalCheckError(f"{xs[-1]} is not {start} plus a positive multiple of delta")
+    shift = delta_shift(dl, start, xs[-1])
     if cox.apply(dl, power_sign) != dl:
         raise InternalCheckError("the Coxeter transformation does not fix delta")
-    out = []
-    for x in xs[:-1]:
-        while height(x) <= bound:
-            if is_nonnegative(x) and height(x) > 0:
-                out.append(x)
-            x = tuple([a + shift * d for a, d in zip(x, dl)])
-    return out
+    step = tuple([shift * d for d in dl])
+    return [y for x in xs[:-1] for y in climb(x, step, bound)
+            if is_nonnegative(y) and height(y) > 0]
 
 
 def closed_form_families(cd, orientation, seq, bound):
@@ -285,8 +293,7 @@ def closed_form_families(cd, orientation, seq, bound):
     roots, separately: preprojective beta-orbits, preinjective gamma-orbits,
     delta-shifted window sums of a distinguished root, and the imaginary
     multiples of delta."""
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
+    require_size("bound", bound, 0)
     if not is_admissible_sequence(orientation, seq, "+"):
         raise DomainError("closed form requires a +-admissible sequence")
     cox = coxeter(cd, seq)
@@ -309,21 +316,9 @@ def closed_form_families(cd, orientation, seq, bound):
     for p_start in range(0, n - 1):
         for q in range(0, n - 2):
             x = tuple(sum(powers[j][t] for j in range(p_start, p_start + q + 1)) for t in range(n))
-            m = 0
-            while True:
-                shifted = tuple(a + m * b for a, b in zip(x, dl))
-                if height(shifted) > bound:
-                    break
-                if is_nonnegative(shifted):
-                    windows.add(shifted)
-                m += 1
-    imaginary = set()
-    m = 1
-    while m * height(dl) <= bound:
-        imaginary.add(tuple(m * v for v in dl))
-        m += 1
+            windows.update(y for y in climb(x, dl, bound) if is_nonnegative(y))
     return {"preprojective": preproj, "preinjective": preinj,
-            "windows": windows, "imaginary": imaginary}
+            "windows": windows, "imaginary": set(climb(dl, dl, bound))}
 
 
 def closed_form_positive_roots(cd, orientation, seq, bound):

@@ -37,12 +37,12 @@ from .algebra import (
     Presentation,
     arrow_key,
     arrow_named,
-    is_ctilde,
     relation_lengths,
     relation_set,
+    require_ctilde,
     spine_arrows,
 )
-from .errors import DomainError, InternalCheckError, UnsupportedPresentation
+from .errors import DomainError, InternalCheckError, require_size
 from .record import Record
 
 _LETTERS = {}  # (arrow, sign) -> the interned Letter
@@ -167,8 +167,9 @@ class Band(Record):
 
 
 def trivial_word(p, vertex, tag=1):
-    if vertex not in p.vertices:
-        raise DomainError(f"no vertex {vertex}")
+    """Validating constructor: the trivial word at the int vertex of p."""
+    if vertex.__class__ is not int or vertex not in p.vertices:
+        raise DomainError(f"no vertex {vertex!r}")
     return StringWord(p, (), vertex, tag)
 
 
@@ -380,8 +381,7 @@ def enumerate_strings(p, max_len):
     rho happens on the result set, not on the frontier (a word and its
     inverse extend at different ends).
     """
-    if max_len < 0:
-        raise DomainError("max_len must be >= 0")
+    require_size("max_len", max_len, 0)
     seen = set()
     frontier = [trivial_word(p, u) for u in p.vertices]
     for w in frontier:
@@ -399,8 +399,7 @@ def enumerate_strings(p, max_len):
 
 def spine_walk_word(p):
     """The string w_0 from vertex 1 to vertex n using every spine edge once."""
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("spine walk requires the C-tilde family")
+    require_ctilde(p, "the spine walk")
     named = {frozenset((a.source, a.target)): a for a in spine_arrows(p)}
     letters = []
     for k in range(p.n - 1, 0, -1):
@@ -409,10 +408,11 @@ def spine_walk_word(p):
     return word(p, letters)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_bands(p, max_dl):
     """All rho'-classes of bands of delta-length <= max_dl (C-tilde only),
-    as a tuple; cached per (p, max_dl).
+    as a tuple; cached per (p, max_dl), typed, so that 2.0 misses the entry
+    of 2 and is refused.
 
     A band of delta-length t is a primitive cyclic word of t atoms
     w0^-1 en^± w0 e1^±, up to inversion.  Each class is canonicalised once,
@@ -422,10 +422,8 @@ def enumerate_bands(p, max_dl):
     spine letters, w0^-1 meets w0 only across a loop letter, and a period
     of the letters keeps en on en, so is a multiple of the 2n-letter atom.
     """
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("band enumeration requires the C-tilde family")
-    if max_dl < 1:
-        raise DomainError("max_dl must be >= 1")
+    require_ctilde(p, "band enumeration")
+    require_size("max_dl", max_dl, 1)
     w0 = spine_walk_word(p)
     e1 = arrow_named(p)["e1"]
     en = arrow_named(p)[f"e{p.n}"]
@@ -442,8 +440,7 @@ def enumerate_bands(p, max_dl):
 def delta_length(b):
     """Number of spine copies in the band's standard form."""
     p = b.presentation
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("delta-length requires the C-tilde family")
+    require_ctilde(p, "the delta-length")
     m1 = sum(1 for c in b.letters if c.arrow.name == "e1")
     mn = sum(1 for c in b.letters if c.arrow.name == f"e{p.n}")
     if m1 != mn or len(b.letters) != 2 * p.n * m1 or m1 == 0:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .algebra import is_ctilde
+from .algebra import require_ctilde
 from .artrans import kernel, orbit, tau, tau_inv, tube_bottom
-from .errors import DomainError, InternalCheckError, UnsupportedPresentation
+from .errors import DomainError, InternalCheckError, require_size
 from .linalg import field_char
 from .modules import (
     BandModuleClass,
@@ -38,6 +38,7 @@ from .roots import (
     cartan,
     coxeter,
     delta,
+    delta_shift,
     enumerate_positive_roots,
     gamma,
     height,
@@ -192,10 +193,7 @@ def _orbit_witnesses(cd, k, start, sign, bound):
         if rv is None:
             fail("is not locally free")
         if r >= period:
-            earlier = ranks[r - period]
-            shift = rv[0] - earlier[0]
-            if shift <= 0 or any(a - b != shift * d for a, b, d in zip(rv, earlier, dl)):
-                raise InternalCheckError(f"{rv} is not {earlier} plus a positive multiple of delta")
+            delta_shift(dl, ranks[r - period], rv)
         ranks.append(rv)
         if not found:
             ends = k.grows(raw, sign)
@@ -223,8 +221,7 @@ def _orbit_witnesses(cd, k, start, sign, bound):
 def _field(p, char):
     """char, once p is in the C-tilde family and char names a field
     (`field_char`); UnsupportedPresentation, resp. DomainError, otherwise."""
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("the GLS correspondence is checked in the C-tilde family only")
+    require_ctilde(p, "the GLS correspondence")
     return field_char(char)
 
 
@@ -255,8 +252,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     level-1 module, since degree s and level l only scale the counts by s l.
     The table also holds, as `bottom`, the tube's bottom row it walked (a
     tuple, empty at bound 0)."""
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
+    require_size("bound", bound, 0)
     char = _field(p, char)
     cd = cartan(p.n)
     k = kernel(p)
@@ -317,6 +313,7 @@ def check_gls(p, bound, char=0):
     many as `_band_classes(t)`), degree s and level l with t s l = m.  At a
     positive bound the problems include those of `check_tube_invariants`,
     found on the bottom row the witness table walked."""
+    require_size("bound", bound, 0)
     char = _field(p, char)
     cd = cartan(p.n)
     dl = delta(cd)
@@ -370,10 +367,8 @@ def check_coxeter_compatibility(p, seq, depth):
     For a --admissible sequence the transformation acting is the one of the
     reversed (+-admissible) sequence, i.e. the inverse of c_seq.
     """
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    if not is_ctilde(p):
-        raise UnsupportedPresentation("Coxeter compatibility is checked in the C-tilde family only")
+    require_size("depth", depth, 0)
+    require_ctilde(p, "Coxeter compatibility")
     cd = cartan(p.n)
     seq = tuple(seq)
     if is_admissible_sequence(p.orientation, seq, "+"):

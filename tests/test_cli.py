@@ -245,6 +245,15 @@ def test_a_negative_size_is_a_usage_error(capsys, argv):
     assert code == 2 and "must be >= 0" in err and out == ""
 
 
+def test_a_band_parameter_of_degree_0_is_reported_as_such(capsys):
+    """Only the int conversions of a band text are reported as "must be
+    integers"; a parameter degree the parser reads keeps its own message."""
+    code, out, err = run(capsys, "tau", "--n", "3", "--orient", "RR",
+                         "band(e1.a21~.a32~.e3.a32.a21;0;1)")
+    assert code == 2 and out == ""
+    assert "parameter degree must be >= 1" in err and "integers" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "3,2,1", "--format", "json"),
     ("tau", "--n", "3", "--orient", "RR", "triv(2)", "--format", "json"),

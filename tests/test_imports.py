@@ -5,7 +5,9 @@ function or class is used somewhere in the package or exported, only
 `verify.tau_locally_free_rank_vectors` enumerates bands inside `verify` (so
 that the expected band count stays independent of the enumeration), no
 function in `verify` calls `band_module` or `delta_length` (the canonical
-bands are not checked or measured again), every
+bands are not checked or measured again), only `algebra.require_ctilde`
+raises `UnsupportedPresentation` and only `errors.require_size` words a
+`DomainError` as "must be >=" (one C-tilde gate, one size rule), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
 `json`, which only the exports and the CLI need), and
@@ -120,6 +122,31 @@ def test_no_function_in_verify_remeasures_a_band():
     calls `delta_length`, which would check the presentation and count the
     loop letters of every band class again."""
     assert _callers("verify.py", "delta_length") == set()
+
+
+def _raisers(accepts):
+    """(module, top-level definition) of every `raise` in the package whose
+    exception `accepts` takes."""
+    return {(path.name, node.name) for path in MODULES for node in ast.parse(path.read_text()).body
+            if any(isinstance(sub, ast.Raise) and sub.exc is not None and accepts(sub.exc)
+                   for sub in ast.walk(node))}
+
+
+def test_one_gate_refuses_presentations_outside_the_ctilde_family():
+    """Every entry point that assumes the C-tilde family calls the one gate
+    instead of raising `UnsupportedPresentation` itself."""
+    assert _raisers(lambda exc: any(getattr(x, "id", None) == "UnsupportedPresentation"
+                                    for x in ast.walk(exc))) == {("algebra.py", "require_ctilde")}
+
+
+def test_one_rule_checks_every_size():
+    """No entry point compares a size by hand: a `DomainError` that says
+    "must be >=" is raised by the one size rule only."""
+    def says_at_least(exc):
+        return getattr(getattr(exc, "func", None), "id", None) == "DomainError" and any(
+            isinstance(c, ast.Constant) and "must be >=" in str(c.value) for c in ast.walk(exc))
+
+    assert _raisers(says_at_least) == {("errors.py", "require_size")}
 
 
 def _tracer_named():

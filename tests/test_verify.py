@@ -11,7 +11,9 @@ from strandbox import (
     InternalCheckError,
     StringModule,
     UnsupportedPresentation,
+    band_module,
     beta,
+    build_component,
     build_representation,
     build_type_C_algebra,
     canonical_simple_param,
@@ -20,23 +22,30 @@ from strandbox import (
     check_gls,
     check_tube_invariants,
     classify_component,
+    closed_form_families,
     coxeter,
     delta,
     delta_length,
     enumerate_bands,
     enumerate_positive_roots,
+    enumerate_strings,
     format_module,
     hom_dim,
     hom_dim_modules,
     injective_string,
     is_rigid,
+    minimal_strings,
+    parse_band,
     projective_string,
     quadratic,
     rank_vector,
+    spine_walk_word,
     tau,
     tau_inv,
     tau_locally_free_rank_vectors,
+    trivial_word,
     tube_bottom,
+    tube_rank,
 )
 from strandbox import artrans, verify
 from strandbox.cli import main
@@ -45,6 +54,7 @@ from strandbox.roots import height
 
 from conftest import all_orientations
 from oracles import fails_tau_local_freeness, orbit_witnesses_by_window
+from test_fast_paths import KRONECKER
 from test_word_kernel import linear_a4_with_a_cubic_relation
 
 
@@ -277,12 +287,19 @@ def test_the_orbit_walks_read_ranks_off_the_kernel_and_build_only_witnesses(a4, 
 def test_the_checks_refuse_presentations_outside_the_ctilde_family():
     """A generic A_4 with a cubic relation is a string algebra, but neither
     the GLS check nor the Coxeter and tube checks apply to it: each refuses
-    it up front rather than failing inside the calculus."""
+    it up front rather than failing inside the calculus.  So do the other
+    entry points that assume the family, on it and on a band of the
+    Kronecker quiver, through the one gate `algebra.require_ctilde`."""
     p = linear_a4_with_a_cubic_relation()
+    m, band = projective_string(p, 1), parse_band(KRONECKER, "a.b~")
     for check in (lambda: check_gls(p, 8), lambda: tau_locally_free_rank_vectors(p, 8),
                   lambda: check_coxeter_compatibility(p, (4, 3, 2, 1), 3),
-                  lambda: check_tube_invariants(p)):
-        with pytest.raises(UnsupportedPresentation):
+                  lambda: check_tube_invariants(p), lambda: minimal_strings(p, 4),
+                  lambda: tube_bottom(p), lambda: classify_component(m),
+                  lambda: build_component(m, 1), lambda: spine_walk_word(p),
+                  lambda: enumerate_bands(p, 1), lambda: delta_length(band),
+                  lambda: classify_component(band_module(band))):
+        with pytest.raises(UnsupportedPresentation, match="in the C-tilde family only"):
             check()
 
 
@@ -296,6 +313,31 @@ def test_every_field_entry_point_refuses_a_characteristic_that_names_no_field(a3
                   lambda: hom_dim_modules(m, m, char), lambda: is_rigid(m, char)):
         with pytest.raises(DomainError):
             check()
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "2", "one below the least"])
+def test_every_size_entry_point_refuses_a_size_that_is_no_int_of_its_least(a3, size):
+    """A size is an int, not a bool, and at least the entry point's least,
+    checked by the one rule `errors.require_size` before any work: 2.5 used
+    to pass check_gls, 2.0 to build Presentation(n=2.0) and True to count as
+    1.  The entries of 2 are cached first, so a check behind a cache lookup
+    that takes 2.0 for 2 shows; a vertex is an int of p in the same way."""
+    cd, m, b = cartan(3), projective_string(a3, 2), enumerate_bands(a3, 2)[0]
+    for call, least in ((lambda v: build_type_C_algebra(v, "RR"), 3), (cartan, 3),
+                        (lambda v: enumerate_positive_roots(cd, v), 0),
+                        (lambda v: closed_form_families(cd, ("R", "R"), (3, 2, 1), v), 0),
+                        (lambda v: tau_locally_free_rank_vectors(a3, v), 0),
+                        (lambda v: check_gls(a3, v), 0),
+                        (lambda v: check_coxeter_compatibility(a3, (3, 2, 1), v), 0),
+                        (lambda v: tube_rank(a3, v), 1), (lambda v: build_component(m, v), 0),
+                        (lambda v: enumerate_strings(a3, v), 0),
+                        (lambda v: minimal_strings(a3, v), 0),
+                        (lambda v: enumerate_bands(a3, v), 1), (canonical_simple_param, 1),
+                        (lambda v: band_module(b, None, v), 1),
+                        (lambda v: trivial_word(a3, v), 1),
+                        (lambda v: projective_string(a3, v), 1)):
+        with pytest.raises(DomainError, match="must be >= |no vertex "):
+            call(least - 1 if size == "one below the least" else size)
 
 
 def test_the_witness_table_holds_the_tube_bottom(a4):
