@@ -111,14 +111,14 @@ def _sides(p):
     seeds = chain((Letter(ins[1], 1) for ins in arrows_by_target(p).values() if len(ins) == 2),
                   (Letter(outs[0], -1) for outs in arrows_by_source(p).values() if len(outs) == 2),
                   (Letter(a, s) for a in sorted(p.arrows, key=arrow_key) for s in (1, -1)))
-    side = {}
+    side, nexts = {}, successors(p)
     for seed in seeds:
         if seed in side:
             continue
         side[seed], stack = 1, [seed]
         while stack:
             c = stack.pop()
-            for d in raw_extensions(word(p, (c.inverse,))):  # d ends at t(c), c^-1.d a string
+            for d in nexts[c.inverse]:  # d ends at t(c), c^-1.d a string
                 if d not in side:
                     side[d] = -side[c]
                     stack.append(d)
@@ -194,24 +194,19 @@ class _Table(Record):
     side     letter c -> c's side at its target
     special  raw word, either way round, of P_i, I_i or a ray class -> its `_Special`
     longest  the length of the longest special word
-    visit    vertex -> the counts of one visit there
-    weight   letter c -> its counts
-    ranks    counts -> the free rank vector, None when not locally free
+    table    `modules.count_table(p)`, whose `ranks` reads free ranks off
+             counts; the `modules` docstring states the layout of the counts
     right    the right end
     left     the left end, the right one inverted
-
-    `visit`, `weight` and `ranks` are those of `modules.count_table(p)`; the
-    `modules` docstring states the layout of the counts.
     """
 
-    __slots__ = ("presentation", "ray", "side", "special", "longest", "visit", "weight",
-                 "ranks", "right", "left")
+    __slots__ = ("presentation", "ray", "side", "special", "longest", "table", "right", "left")
 
     def counts(self, raw):
         """The counts of a raw word, as `modules.count_table` sums them."""
         if raw.__class__ is not tuple:
-            return self.visit[raw.base]
-        return count_table(self.presentation).counts(raw, raw[0].target)
+            return self.table.visit[raw.base]
+        return self.table.counts(raw, raw[0].target)
 
     def counted(self, w):
         """The raw word of the StringWord w and its counts."""
@@ -317,8 +312,8 @@ def kernel(p):
             deletes.setdefault((t.letters[-1], c.sign), []).append(tails[c])
         return _End(is_left, adds, deletes, tails, checked)
 
-    return _Table(p, ray, side, special, max(map(len, special)), table.visit, table.weight,
-                  table.ranks, end(False, right), end(True, left))
+    return _Table(p, ray, side, special, max(map(len, special)), table, end(False, right),
+                  end(True, left))
 
 
 def _entry(w):

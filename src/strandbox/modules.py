@@ -20,7 +20,7 @@ identity  hom(X,Y) - ext1(X,Y) = <rank X, rank Y>  with the
 orientation-dependent bilinear form from `roots`.
 
 Free ranks and local freeness are read off one count table per
-presentation (`count_table`), which the tau kernel of `artrans` reads too.
+presentation (`count_table`); the tau kernel of `artrans` holds it, no copy.
 M is locally free when each e_iM is free over H_i (Geiss-Leclerc-Schroer):
 at a loop vertex the loop acts as a square-zero map of rank dim_i/2, so
 every visit of the walk is paired by a loop letter.  A word's counts are a

@@ -408,11 +408,9 @@ def spine_walk_word(p):
     return word(p, letters)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_bands(p, max_dl):
     """All rho'-classes of bands of delta-length <= max_dl (C-tilde only),
-    as a tuple; cached per (p, max_dl), typed, so that 2.0 misses the entry
-    of 2 and is refused.
+    as a tuple.
 
     A band of delta-length t is a primitive cyclic word of t atoms
     w0^-1 en^± w0 e1^±, up to inversion.  Each class is canonicalised once,

@@ -78,14 +78,18 @@ class Witness(Record):
 
 
 class CheckReport:
-    """The verdict of one named check and its problems, one line each."""
+    """The verdict of one named check: its problems, one line each; it
+    passes when there are none."""
 
-    __slots__ = ("name", "passed", "problems")
+    __slots__ = ("name", "problems")
 
-    def __init__(self, name, passed, problems):
+    def __init__(self, name, problems):
         self.name = name
-        self.passed = passed
         self.problems = problems
+
+    @property
+    def passed(self):
+        return not self.problems
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
@@ -189,7 +193,7 @@ def _orbit_witnesses(cd, k, start, sign, bound):
         raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} {what}")
 
     while True:
-        r, rv = len(ranks), k.ranks(counts)
+        r, rv = len(ranks), k.table.ranks(counts)
         if rv is None:
             fail("is not locally free")
         if r >= period:
@@ -271,7 +275,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
             members = [m for m, _ in row]
             if level == 1:
                 bottom = tuple(members)
-            ranks = [k.ranks(counts) for _, counts in row]
+            ranks = [k.table.ranks(counts) for _, counts in row]
             closed = set(members)
             for m, rv in zip(members, ranks):
                 if rv is None or tau(m) not in closed or tau_inv(m) not in closed:
@@ -395,7 +399,7 @@ def check_coxeter_compatibility(p, seq, depth):
                 expected = cox.apply(expected, power)
     if len(set(values)) != len(values):
         problems.append("rank vectors along the orbits are not pairwise distinct")
-    return CheckReport("coxeter-compatibility", not problems, problems)
+    return CheckReport("coxeter-compatibility", problems)
 
 
 def _tube_problems(p, bottom, char):
@@ -420,4 +424,4 @@ def check_tube_invariants(p, char=0):
     """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
     itself checks that tau^-1 closes it with period n-1."""
     problems = _tube_problems(p, tube_bottom(p), _field(p, char))
-    return CheckReport("tube-invariants", not problems, problems)
+    return CheckReport("tube-invariants", problems)

@@ -255,7 +255,7 @@ def _orbit_by_window(k, start, sign):
     step = k.counted(start.word)
     while step is not None:
         raw, counts = step
-        rv = k.ranks(counts)
+        rv = k.table.ranks(counts)
         if rv is None:
             raise InternalCheckError(f"tau-orbit module {format_module(k.module(raw))} "
                                      f"is not locally free")

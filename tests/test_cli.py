@@ -304,7 +304,7 @@ def test_tube_json_and_dot(capsys, fmt, export):
 def test_a_failing_coxeter_check_exits_1_and_prints_each_problem(capsys, monkeypatch):
     problems = ["first problem", "second problem"]
     monkeypatch.setattr("strandbox.cli.check_coxeter_compatibility",
-                        lambda p, seq, depth: CheckReport("coxeter-compatibility", False, problems))
+                        lambda p, seq, depth: CheckReport("coxeter-compatibility", problems))
     code, out, _ = run(capsys, "verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "3,2,1")
     assert code == 1
     assert out.splitlines() == problems + ["coxeter compatibility: FAIL"]

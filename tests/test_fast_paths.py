@@ -217,12 +217,10 @@ def test_free_rank_vector_matches_the_walk_count(p):
 
 @pytest.mark.parametrize("p", CTILDE, ids=ids)
 def test_the_tau_kernel_reads_the_count_table_of_modules(p):
-    """The kernel's visit and weight tables are the very objects of
-    `modules.count_table`, and its rank rule is that table's: free ranks and
-    local freeness are counted in one place."""
-    k, counts = artrans.kernel(p), modules.count_table(p)
-    assert k.visit is counts.visit and k.weight is counts.weight
-    assert k.ranks == counts.ranks
+    """The kernel holds the very count table of `modules.count_table`, so its
+    counts and rank rule are that table's: free ranks and local freeness are
+    counted in one place."""
+    assert artrans.kernel(p).table is modules.count_table(p)
 
 
 @pytest.mark.parametrize("p", CTILDE, ids=ids)
@@ -296,7 +294,7 @@ def test_kernel_counts_and_steps_match_the_oracles_on_the_walked_modules(monkeyp
                 for raw, counts in [k.shift(*result, -sign)]]
     carried += [item for row in rows for item in row]
     for m, counts in carried:
-        assert k.ranks(counts) == free_rank_vector(m) == free_rank_vector_by_walk(m), m
+        assert k.table.ranks(counts) == free_rank_vector(m) == free_rank_vector_by_walk(m), m
     for raw, _, sign, result in steps:
         got = ZERO if result is None else k.module(result[0])
         assert got == translate_by_inversion(k.module(raw), sign), (raw, sign)

@@ -7,7 +7,8 @@ that the expected band count stays independent of the enumeration), no
 function in `verify` calls `band_module` or `delta_length` (the canonical
 bands are not checked or measured again), only `algebra.require_ctilde`
 raises `UnsupportedPresentation` and only `errors.require_size` words a
-`DomainError` as "must be >=" (one C-tilde gate, one size rule), every
+`DomainError` as "must be >=" (one C-tilde gate, one size rule), no
+unbounded cache is keyed by a size (so none keeps a verdict's output), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
 `json`, which only the exports and the CLI need), and
@@ -147,6 +148,31 @@ def test_one_rule_checks_every_size():
             isinstance(c, ast.Constant) and "must be >=" in str(c.value) for c in ast.walk(exc))
 
     assert _raisers(says_at_least) == {("errors.py", "require_size")}
+
+
+def _unbounded_caches():
+    """(module, function, its parameters) of every function the package
+    caches without a bound: `lru_cache(maxsize=None)` or `cache`."""
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            for dec in getattr(node, "decorator_list", ()):
+                unbounded = getattr(dec, "id", None) == "cache" or (
+                    getattr(getattr(dec, "func", None), "id", None) == "lru_cache"
+                    and any(kw.arg == "maxsize" and getattr(kw.value, "value", 0) is None
+                            for kw in dec.keywords))
+                if unbounded:
+                    yield path.name, node.name, [a.arg for a in node.args.args]
+
+
+def test_no_unbounded_cache_is_keyed_by_a_size():
+    """An unbounded cache is keyed only by what a process holds few of: a
+    presentation `p`, a vertex count `n`, a vertex and sign, a field `char`.
+    A size such as a bound or a delta-length would keep every output it
+    was asked for, a verdict's bands among them, alive for the process."""
+    keys = {"p", "n", "i", "sign", "char"}
+    caches = list(_unbounded_caches())
+    assert ("modules.py", "count_table", ["p"]) in caches
+    assert [c for c in caches if not keys.issuperset(c[2])] == []
 
 
 def _tracer_named():

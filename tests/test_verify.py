@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 
 from strandbox import (
     ZERO,
+    Band,
     DomainError,
     InternalCheckError,
     StringModule,
@@ -108,6 +110,28 @@ def test_check_gls_passes(a3):
     assert not report.missing and not report.extra and not report.problems
     assert set(report.matched_real) | set(report.matched_imaginary) == \
         enumerate_positive_roots(cartan(3), 12)
+
+
+def test_a_dropped_verdict_keeps_no_band_alive(a3):
+    """The report is the only holder of a verdict's bands: once it is
+    dropped, no `Band` it was built from stays alive.  The tube check runs
+    first, so that the caches `check_gls` shares with it (the tau kernel,
+    the Hom tallies of the tube bottom) are in the state it leaves them."""
+    def bands():
+        gc.collect()
+        return sum(isinstance(x, Band) for x in gc.get_objects())
+
+    check_tube_invariants(a3)
+    before = bands()
+    report = check_gls(a3, 20)
+    assert report.passed and bands() > before
+    del report
+    assert bands() == before
+
+
+def test_a_check_passes_exactly_when_it_has_no_problems():
+    assert verify.CheckReport("tube-invariants", []).passed
+    assert not verify.CheckReport("tube-invariants", ["bottom module is not rigid"]).passed
 
 
 def test_band_witnesses_are_band_modules_over_the_field_of_the_check():
