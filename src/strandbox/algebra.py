@@ -130,29 +130,6 @@ def arrow_named(p: Presentation):
 
 
 @lru_cache(maxsize=None)
-def relation_lengths(p: Presentation):
-    return tuple(sorted({len(r) for r in p.relations}))
-
-
-@lru_cache(maxsize=None)
-def relation_set(p: Presentation):
-    return frozenset(p.relations)
-
-
-def path_in_ideal(p: Presentation, path):
-    """True iff the composable path (word order) has a relation as a factor."""
-    rels = relation_set(p)
-    m = len(path)
-    for length in relation_lengths(p):
-        if length > m:
-            continue
-        for i in range(m - length + 1):
-            if tuple(path[i:i + length]) in rels:
-                return True
-    return False
-
-
-@lru_cache(maxsize=None)
 def spine_arrows(p: Presentation):
     return tuple(a for a in p.arrows if not a.is_loop)
 
@@ -189,7 +166,8 @@ def validate_string_algebra(p: Presentation):
     """Check the three string-algebra conditions; returns a list of violations.
 
     An empty list means the presentation is a string algebra.  Violations
-    carry the witnessing vertex or arrow.
+    carry the witnessing vertex, arrow or relation; condition (3) asks that
+    each relation be a composable path of at least 2 arrows.
     """
     violations = []
     by_src = arrows_by_source(p)
@@ -200,15 +178,17 @@ def validate_string_algebra(p: Presentation):
         if len(by_tgt[u]) > 2:
             violations.append(f"condition (1): vertex {u} has {len(by_tgt[u])} incoming arrows")
     for a in p.arrows:
-        befores = [b for b in by_src[a.target] if not path_in_ideal(p, (b, a))]
+        befores = [b for b in by_src[a.target] if (b, a) not in p.relations]
         if len(befores) > 1:
             names = ",".join(b.name for b in befores)
             violations.append(f"condition (2): arrow {a.name} has continuations {names} outside I")
-        afters = [g for g in by_tgt[a.source] if not path_in_ideal(p, (a, g))]
+        afters = [g for g in by_tgt[a.source] if (a, g) not in p.relations]
         if len(afters) > 1:
             names = ",".join(g.name for g in afters)
             violations.append(f"condition (2): arrow {a.name} has pre-compositions {names} outside I")
     for rel in p.relations:
+        if len(rel) < 2:
+            violations.append(f"condition (3): relation {'.'.join(x.name for x in rel)} is shorter than 2 arrows")
         for c, d in zip(rel, rel[1:]):
             if c.source != d.target:
                 violations.append(f"condition (3): relation {'.'.join(x.name for x in rel)} is not a composable path")

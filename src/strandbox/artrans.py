@@ -53,7 +53,6 @@ from .algebra import (
     arrow_key,
     arrows_by_source,
     arrows_by_target,
-    relation_lengths,
     require_ctilde,
     spine_arrows,
 )
@@ -300,7 +299,7 @@ def kernel(p):
     left = {c: _Tail(c, tuple(d.inverse for d in reversed(t.letters)), -t.tag, t.counts,
                      StringWord(p, (), c.target, -t.tag))
             for c, t in right.items()}
-    checked = p if any(k != 2 for k in relation_lengths(p)) else None
+    checked = p if any(len(r) != 2 for r in p.relations) else None
     nexts = successors(p)
 
     def end(is_left, tails):

@@ -15,11 +15,12 @@ letter keys in place, building no candidate they reject.  Values are immutable.
 Letters are interned: ``Letter(a, s)`` is one shared instance per
 (arrow, sign), carrying its source, target, inverse and order key, so
 letters compare and hash by identity.  Validity is checked against one
-table per presentation (`_kernel`): the set of letter pairs that may stand
-next to each other (composable, not backtracking, not a length-2 relation
-or its inverse), and the same pairs as a successor table, letter -> the
-letters that may follow it.  Relations of any other length keep the general
-window check.
+table per presentation (`_kernel`), the one place where relations become
+what a string may not contain: each relation as letter windows, read
+forward and inverted; the set of letter pairs that may stand next to each
+other (composable, not backtracking, not a window); and the same pairs as a
+successor table, letter -> the letters that may follow it.  A relation of
+any other length than 2 is checked by reading its windows along the word.
 
 Words are checked once, where they enter the program: `Letter`,
 `trivial_word`, `string_word`, `parse_word` and `parse_band` validate; `word`,
@@ -37,8 +38,6 @@ from .algebra import (
     Presentation,
     arrow_key,
     arrow_named,
-    relation_lengths,
-    relation_set,
     require_ctilde,
     spine_arrows,
 )
@@ -196,43 +195,35 @@ def word_sort_key(w: StringWord):
 # validity
 # ---------------------------------------------------------------------------
 
-def _window_forbidden(relations, window):
-    """True iff the letter window or its inverse is one of the relations."""
-    if all(c.sign > 0 for c in window):
-        return tuple(c.arrow for c in window) in relations
-    if all(c.sign < 0 for c in window):
-        return tuple(c.arrow for c in reversed(window)) in relations
-    return False
-
-
 class _Kernel(Record):
     """The validity tables of one presentation:
 
     letters       every letter of the presentation
+    windows       each relation as letters: direct, and inverted (its
+                  inverse letters in reverse order); a string holds none
     pairs         (c, d) such that c.d is a string
     ending_at     vertex -> letters with that target: direct, then inverse
     successors    letter c -> the letters d with (c, d) in pairs, in ending_at order
-    relations     the relation set
-    long_lengths  relation lengths other than 2, for the window check
+    long_lengths  window lengths other than 2, for the window check
     """
 
-    __slots__ = ("letters", "pairs", "ending_at", "successors", "relations", "long_lengths")
+    __slots__ = ("letters", "windows", "pairs", "ending_at", "successors", "long_lengths")
 
 
 @lru_cache(maxsize=None)
 def _kernel(p: Presentation):
     arrows = sorted(p.arrows, key=arrow_key)
     ordered = [Letter(a, 1) for a in arrows] + [Letter(a, -1) for a in arrows]
-    relations = relation_set(p)
+    windows = frozenset(w for r in p.relations for w in (
+        tuple(Letter(a, 1) for a in r), tuple(Letter(a, -1) for a in reversed(r))))
     pairs = frozenset(
         (c, d) for c in ordered for d in ordered
-        if c.source == d.target and d is not c.inverse
-        and not _window_forbidden(relations, (c, d))
+        if c.source == d.target and d is not c.inverse and (c, d) not in windows
     )
     ending_at = {u: tuple(c for c in ordered if c.target == u) for u in p.vertices}
     successors = {c: tuple(d for d in ending_at[c.source] if (c, d) in pairs) for c in ordered}
-    long_lengths = tuple(k for k in relation_lengths(p) if k != 2)
-    return _Kernel(frozenset(ordered), pairs, ending_at, successors, relations, long_lengths)
+    long_lengths = tuple(sorted({len(w) for w in windows} - {2}))
+    return _Kernel(frozenset(ordered), windows, pairs, ending_at, successors, long_lengths)
 
 
 def successors(p):
@@ -246,7 +237,7 @@ def _letters_valid(k: _Kernel, letters):
     if not k.pairs.issuperset(pairwise(letters)):
         return False
     return not any(
-        _window_forbidden(k.relations, letters[i:i + length])
+        letters[i:i + length] in k.windows
         for length in k.long_lengths
         for i in range(len(letters) - length + 1)
     )
@@ -274,14 +265,8 @@ def can_append(p, letters, c):
     k = _kernel(p)
     if letters and (letters[-1], c) not in k.pairs:
         return False
-    if k.long_lengths:
-        new = tuple(letters) + (c,)
-        return not any(
-            _window_forbidden(k.relations, new[-length:])
-            for length in k.long_lengths
-            if len(new) >= length
-        )
-    return True
+    new = (*letters, c)  # a word shorter than `length` is read whole: a match is a window of it
+    return not any(new[-length:] in k.windows for length in k.long_lengths)
 
 
 _EXTENSION_CAP = 512  # guards against non-finite-dimensional input
@@ -347,7 +332,7 @@ def is_band(w):
         return False
     p = w.presentation
     m = len(letters)
-    max_rel = max(relation_lengths(p), default=2)
+    max_rel = max(map(len, p.relations), default=2)
     reps = max(2, -(-max_rel // m) + 1)
     if not _letters_valid(_kernel(p), letters * reps):
         return False

@@ -7,14 +7,14 @@ from strandbox import (
     build_type_C_algebra,
     validate_string_algebra,
 )
-from strandbox import Letter
-from strandbox.algebra import path_in_ideal
+from strandbox import Letter, is_string
 from strandbox.artrans import kernel
+from strandbox.strings import word
 from strandbox.roots import is_sink, is_source
 
 from conftest import all_orientations
 from test_fast_paths import KRONECKER
-from test_word_kernel import linear_a4_with_a_cubic_relation
+from test_word_kernel import A4, A6
 
 
 def test_a3_linear_shape(a3):
@@ -92,8 +92,18 @@ def test_relations_are_square_loops(a4):
 def test_path_in_ideal(a3):
     e1 = next(a for a in a3.arrows if a.name == "e1")
     a21 = next(a for a in a3.arrows if a.name == "a21")
-    assert path_in_ideal(a3, (e1, e1))
-    assert not path_in_ideal(a3, (a21, e1))
+    assert not is_string(word(a3, (Letter(e1, 1), Letter(e1, 1))))
+    assert is_string(word(a3, (Letter(a21, 1), Letter(e1, 1))))
+
+
+def test_a_relation_shorter_than_two_arrows_is_a_violation():
+    """A one-arrow relation would make its arrow zero; the ideal of a string
+    algebra is generated by paths of length at least 2."""
+    a, b = Arrow("a", 1, 2), Arrow("b", 2, 3)
+    for rel in ((a,), ()):
+        report = validate_string_algebra(Presentation(n=3, arrows=(a, b), relations=(rel,)))
+        assert [v for v in report if "condition (3)" in v and "shorter than 2 arrows" in v], rel
+    assert validate_string_algebra(Presentation(n=3, arrows=(a, b), relations=((b, a),))) == []
 
 
 def test_side_functions_consistency():
@@ -101,7 +111,7 @@ def test_side_functions_consistency():
     target, opposite at a common source, and sigma(b) = -epsilon(d) when b.d
     avoids the ideal."""
     ctilde = [build_type_C_algebra(n, o) for n in (3, 4, 5, 6) for o in all_orientations(n)]
-    for p in ctilde + [KRONECKER, linear_a4_with_a_cubic_relation()]:
+    for p in ctilde + [KRONECKER, A4, A6]:
         side = kernel(p).side
         eps = {a: side[Letter(a, 1)] for a in p.arrows}
         sig = {a: side[Letter(a, -1)] for a in p.arrows}
@@ -118,5 +128,5 @@ def test_side_functions_consistency():
                 assert sig[arrows[0]] == -sig[arrows[1]]
         for b in p.arrows:
             for d in by_tgt.get(b.source, []):
-                if not path_in_ideal(p, (b, d)):
+                if (b, d) not in p.relations:
                     assert sig[b] == -eps[d]

@@ -235,6 +235,21 @@ def test_a_field_above_the_size_limit_is_a_usage_error(capsys, monkeypatch):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("field, argv, message", [
+    # without its own check, fp:0 would select the rationals
+    ("fp:0", ("verify-gls", "--n", "3", "--orient", "RR", "--bound", "4"), "not a prime: 0"),
+    ("fp:1", ("verify-gls", "--n", "3", "--orient", "RR", "--bound", "4"), "not a prime: 1"),
+    ("rat", ("tau", "--n", "3", "--orient", "RR", "triv(x)"), "bad trivial string"),
+    ("rat", ("component", "--n", "3", "--orient", "RR", "zero", "--radius", "1"),
+     "cannot seed a component at zero"),
+    ("rat", ("classify", "--n", "3", "--orient", "RR", "zero"), "cannot classify the zero module"),
+])
+def test_a_refused_field_word_or_seed_is_a_usage_error(capsys, monkeypatch, field, argv, message):
+    monkeypatch.setenv("STRANDBOX_FIELD", field)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-coxeter", "--n", "3", "--orient", "RR", "--seq", "1,2,3", "--depth", "-1"),
     ("roots", "--n", "3", "--bound", "-3"),

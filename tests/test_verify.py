@@ -11,8 +11,10 @@ from strandbox import (
     Band,
     DomainError,
     InternalCheckError,
+    Letter,
     StringModule,
     UnsupportedPresentation,
+    ar_sequence_starting_at,
     band_module,
     beta,
     build_component,
@@ -41,6 +43,7 @@ from strandbox import (
     projective_string,
     quadratic,
     rank_vector,
+    ringel_form,
     spine_walk_word,
     tau,
     tau_inv,
@@ -325,6 +328,22 @@ def test_the_checks_refuse_presentations_outside_the_ctilde_family():
                   lambda: classify_component(band_module(band))):
         with pytest.raises(UnsupportedPresentation, match="in the C-tilde family only"):
             check()
+
+
+def test_the_library_refuses_the_zero_module_a_sign_0_and_a_wrong_vertex_order(a3):
+    """The zero module has no translate and no AR-sequence, a letter's sign
+    is 1 or -1, a Coxeter sequence orders the vertices, and the Ringel form
+    takes one direction per spine edge."""
+    cd = cartan(3)
+    for call, message in ((lambda: tau(ZERO), "tau of the zero module"),
+                          (lambda: tau_inv(ZERO), "tau_inv of the zero module"),
+                          (lambda: ar_sequence_starting_at(ZERO), "no AR-sequence at the zero"),
+                          (lambda: Letter(a3.arrows[0], 0), "sign must be 1 or -1"),
+                          (lambda: coxeter(cd, (1, 1, 2)), "must order the vertices"),
+                          (lambda: ringel_form(cd, ("R",), (1, 0, 0), (0, 1, 0)),
+                           "orientation of length n-1")):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("char", [1, -3, 4, 6, 2**31, 2.0, "7"])

@@ -1,9 +1,10 @@
 """The word kernel: interned letters and validity by the letter-pair table.
 
 Property tests compare `is_string`, `can_append` and `canonical_string`
-with the brute-force oracle on every orientation with n <= 5 and on a
-linear A_4 with one relation of length 3, which takes the general window
-check instead of the pair table.
+with the brute-force oracle on every orientation with n <= 5, on a linear
+A_4 with one relation of length 3 and on a linear A_6 with relations of
+lengths 3 and 4.  The last two take the kernel's window check on top of the
+pair table.
 """
 
 import copy
@@ -32,6 +33,7 @@ from strandbox import (
     parse_band,
     parse_word,
     string_module,
+    validate_string_algebra,
 )
 from strandbox.record import Record
 from strandbox.strings import Letter, can_append, word
@@ -50,8 +52,15 @@ def linear_a4_with_a_cubic_relation():
     return Presentation(n=4, arrows=(a21, a32, a43), relations=((a43, a32, a21),))
 
 
+def linear_a6_with_relations_of_lengths_3_and_4():
+    a21, a32, a43, a54, a65 = (Arrow(f"a{i + 1}{i}", i, i + 1) for i in range(1, 6))
+    return Presentation(n=6, arrows=(a21, a32, a43, a54, a65),
+                        relations=((a43, a32, a21), (a65, a54, a43, a32)))
+
+
 A4 = linear_a4_with_a_cubic_relation()
-PRESENTATIONS = st.one_of(st.just(A4), st.sampled_from(CTILDE))
+A6 = linear_a6_with_relations_of_lengths_3_and_4()
+PRESENTATIONS = st.one_of(st.just(A4), st.just(A6), st.sampled_from(CTILDE))
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
@@ -90,7 +99,11 @@ def longest_string_prefix(p, letters):
 
 
 def test_the_presentations_reach_every_relation_length():
-    assert {len(r) for p in CTILDE + [A4] for r in p.relations} == {2, 3}
+    assert {len(r) for p in CTILDE + [A4, A6] for r in p.relations} == {2, 3, 4}
+
+
+def test_the_two_length_fixture_is_a_string_algebra():
+    assert validate_string_algebra(A6) == []
 
 
 @PROPERTY
