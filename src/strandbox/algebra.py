@@ -109,19 +109,14 @@ def build_type_C_algebra(n, orientation):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def arrows_by_source(p: Presentation):
-    out = {u: [] for u in p.vertices}
-    for a in p.arrows:
-        out[a.source].append(a)
-    return {u: tuple(sorted(v, key=arrow_key)) for u, v in out.items()}
-
-
-@lru_cache(maxsize=None)
-def arrows_by_target(p: Presentation):
-    out = {u: [] for u in p.vertices}
-    for a in p.arrows:
-        out[a.target].append(a)
-    return {u: tuple(sorted(v, key=arrow_key)) for u, v in out.items()}
+def arrows_at(p: Presentation):
+    """(by_source, by_target): vertex -> the arrows leaving it, and vertex ->
+    the arrows entering it, each in arrow order."""
+    tables = ({u: [] for u in p.vertices}, {u: [] for u in p.vertices})
+    for a in sorted(p.arrows, key=arrow_key):
+        tables[0][a.source].append(a)
+        tables[1][a.target].append(a)
+    return tuple({u: tuple(v) for u, v in t.items()} for t in tables)
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +165,7 @@ def validate_string_algebra(p: Presentation):
     each relation be a composable path of at least 2 arrows.
     """
     violations = []
-    by_src = arrows_by_source(p)
-    by_tgt = arrows_by_target(p)
+    by_src, by_tgt = arrows_at(p)
     for u in p.vertices:
         if len(by_src[u]) > 2:
             violations.append(f"condition (1): vertex {u} has {len(by_src[u])} outgoing arrows")

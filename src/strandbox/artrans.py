@@ -51,8 +51,8 @@ from operator import add, sub
 
 from .algebra import (
     arrow_key,
-    arrows_by_source,
-    arrows_by_target,
+    arrows_at,
+    loop_arrows,
     require_ctilde,
     spine_arrows,
 )
@@ -107,8 +107,9 @@ def _sides(p):
     second of two arrows into a vertex, the first of two arrows out of one,
     then every letter, each taking side +1 unless already coloured.
     """
-    seeds = chain((Letter(ins[1], 1) for ins in arrows_by_target(p).values() if len(ins) == 2),
-                  (Letter(outs[0], -1) for outs in arrows_by_source(p).values() if len(outs) == 2),
+    by_src, by_tgt = arrows_at(p)
+    seeds = chain((Letter(ins[1], 1) for ins in by_tgt.values() if len(ins) == 2),
+                  (Letter(outs[0], -1) for outs in by_src.values() if len(outs) == 2),
                   (Letter(a, s) for a in sorted(p.arrows, key=arrow_key) for s in (1, -1)))
     side, nexts = {}, successors(p)
     for seed in seeds:
@@ -555,8 +556,7 @@ def minimal_strings(p, max_len=12):
     require_ctilde(p, "the minimal-string classification")
     require_size("max_len", max_len, 0)
     by_type = {t: [] for t in ((0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2))}
-    by_src = arrows_by_source(p)
-    by_tgt = arrows_by_target(p)
+    by_src, by_tgt = arrows_at(p)
     for u in p.vertices:
         if not by_src[u]:
             by_type[(0, 2)].append(simple_module(p, u))
@@ -564,8 +564,7 @@ def minimal_strings(p, max_len=12):
             by_type[(2, 0)].append(simple_module(p, u))
     for a in spine_arrows(p):
         by_type[(1, 1)].append(string_module(ray(p, Letter(a, 1))))
-    loops = [a for a in p.arrows if a.is_loop]
-    for a in loops:
+    for a in loop_arrows(p):
         by_type[(1, 2)].append(string_module(ray(p, Letter(a, 1))))
         by_type[(2, 1)].append(string_module(ray(p, Letter(a, -1))))
     ends = {1, p.n}

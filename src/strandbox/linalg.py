@@ -4,7 +4,9 @@ A field is given by its characteristic: 0 for Q, p for GF(p).  Matrices are
 sparse dicts {(row, col): entry} and rows are sparse dicts {column: entry},
 with int entries: reduced mod p over GF(p), any integer over Q.  Rank over Q
 is taken fraction-free, by integer row operations with a gcd normalisation,
-so no floating point or Fraction appears anywhere.
+so no floating point or Fraction appears anywhere.  Polynomials are ascending
+int coefficient tuples, and the degree of a gcd has one rule, `gcd_degree`
+(a Sylvester rank), which the irreducibility test reads too.
 """
 
 from __future__ import annotations
@@ -172,23 +174,21 @@ def _poly_rem(a, b, p):
 def is_irreducible_mod(poly, p):
     """Whether a monic polynomial (ascending int coefficients, degree >= 1) is
     irreducible over GF(p), by the distinct-degree test: a degree-d f is
-    irreducible iff gcd(T^(p^k) - T, f) = 1 for every k <= d / 2."""
+    irreducible iff gcd(T^(p^k) - T, f) = 1 for every k <= d / 2, the gcd
+    degree read off `gcd_degree` (a zero T^(p^k) - T mod f leaves f itself)."""
     f = [c % p for c in poly]
     h = [0, 1]  # T^(p^k) mod f, starting at k = 0
     for _ in range((len(f) - 1) // 2):
-        power, base, e = [1], h, p
+        h, base, e = [1], h, p  # h^p mod f, by squaring
         while e:
             if e & 1:
-                power = _poly_rem(poly_mul(power, base), f, p)
+                h = _poly_rem(poly_mul(h, base), f, p)
             base = _poly_rem(poly_mul(base, base), f, p)
             e >>= 1
-        h = power
         r = h + [0] * (2 - len(h))
         r[1] -= 1  # h - T
-        g, r = f, _poly_rem(r, f, p)
-        while r:
-            g, r = r, _poly_rem(g, r, p)
-        if len(g) > 1:
+        r = _poly_rem(r, f, p)
+        if not r or gcd_degree(f, r, p):
             return False
     return True
 

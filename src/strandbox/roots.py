@@ -6,7 +6,10 @@ reflections within a height bound, together with the multiples of the
 minimal imaginary root delta = (1,2,...,2,1).  The closed-form description via
 beta/gamma Coxeter orbits plus delta-shifted window sums is provided for
 cross-checking; each orbit is read off its first period of n-1 steps, since
-c^{n-1} shifts it by a positive multiple of delta.
+c^{n-1} shifts it by a positive multiple of delta.  Sinks (polarity '+') and
+sources ('-') of the spine are told apart by one test, `is_end`, which the
+admissible sequences read; a polarity is '+' or '-', and a beta/gamma index
+runs over 1..n, or DomainError is raised.
 """
 
 from __future__ import annotations
@@ -164,17 +167,19 @@ def enumerate_positive_roots(cd, bound):
 # orientations and admissible sequences
 # ---------------------------------------------------------------------------
 
-def is_sink(orientation, n, v):
-    """Sink of the loop-free spine quiver under the R/L edge directions."""
-    left_in = v == 1 or orientation[v - 2] == "R"
-    right_in = v == n or orientation[v - 1] == "L"
-    return left_in and right_in
+def _polarity(polarity):
+    """polarity itself when it is '+' or '-'; DomainError otherwise."""
+    if polarity not in ("+", "-"):
+        raise DomainError(f"a polarity is '+' or '-', not {polarity!r}")
+    return polarity
 
 
-def is_source(orientation, n, v):
-    left_out = v == 1 or orientation[v - 2] == "L"
-    right_out = v == n or orientation[v - 1] == "R"
-    return left_out and right_out
+def is_end(orientation, n, v, polarity):
+    """Whether v is a sink (polarity '+') or a source ('-') of the loop-free
+    spine quiver under the R/L edge directions: its left edge reads R and its
+    right edge L for a sink, the mirror for a source."""
+    left, right = ("R", "L") if _polarity(polarity) == "+" else ("L", "R")
+    return (v == 1 or orientation[v - 2] == left) and (v == n or orientation[v - 1] == right)
 
 
 def reflect_orientation(orientation, v):
@@ -188,8 +193,7 @@ def reflect_orientation(orientation, v):
 
 
 def nonadmissible_vertices(orientation, n):
-    return [v for v in range(1, n + 1)
-            if not is_sink(orientation, n, v) and not is_source(orientation, n, v)]
+    return [v for v in range(1, n + 1) if not any(is_end(orientation, n, v, s) for s in "+-")]
 
 
 def is_admissible_sequence(orientation, seq, polarity="+"):
@@ -197,30 +201,23 @@ def is_admissible_sequence(orientation, seq, polarity="+"):
     if sorted(seq) != list(range(1, n + 1)):
         return False
     omega = tuple(orientation)
-    test = is_sink if polarity == "+" else is_source
     for v in seq:
-        if not test(omega, n, v):
+        if not is_end(omega, n, v, polarity):
             return False
         omega = reflect_orientation(omega, v)
     return True
 
 
 def admissible_sequences(orientation, polarity="+"):
-    """All +- (or -)-admissible orderings of the vertices."""
+    """All +- (or -)-admissible orderings of the vertices, in lexicographic
+    order: the walks grow one vertex at a time, each by its unused ends in
+    increasing order, reflecting the orientation at every step."""
     n = len(orientation) + 1
-    test = is_sink if polarity == "+" else is_source
-    out = []
-
-    def rec(omega, prefix, remaining):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for v in sorted(remaining):
-            if test(omega, n, v):
-                rec(reflect_orientation(omega, v), prefix + [v], remaining - {v})
-
-    rec(tuple(orientation), [], set(range(1, n + 1)))
-    return out
+    walks = [((), tuple(orientation))]
+    for _ in range(n):
+        walks = [(seq + (v,), reflect_orientation(omega, v)) for seq, omega in walks
+                 for v in range(1, n + 1) if v not in seq and is_end(omega, n, v, polarity)]
+    return [seq for seq, _ in walks]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,10 @@ def coxeter(cd, seq):
 def beta(cd, seq, k, polarity="+"):
     """beta_{i,k} for an admissible sequence (1-based k): alpha_{i_k} reflected
     by i_{k-1}, ..., i_1 for polarity +, by i_{k+1}, ..., i_m for -."""
+    if k.__class__ is not int or not 1 <= k <= len(seq):
+        raise DomainError(f"an orbit index runs over 1..{len(seq)}, not {k!r}")
     x = simple_root(cd, seq[k - 1])
-    for i in reversed(seq[:k - 1]) if polarity == "+" else seq[k:]:
+    for i in reversed(seq[:k - 1]) if _polarity(polarity) == "+" else seq[k:]:
         x = reflect(cd, i, x)
     return x
 
@@ -260,7 +259,7 @@ def beta(cd, seq, k, polarity="+"):
 def gamma(cd, seq, k, polarity="+"):
     """gamma_{i,k} for an admissible sequence (1-based k): beta_{i,k} of the
     other polarity."""
-    return beta(cd, seq, k, "-" if polarity == "+" else "+")
+    return beta(cd, seq, k, "-" if _polarity(polarity) == "+" else "+")
 
 
 def _orbit_within_bound(cd, cox, start, power_sign, bound):

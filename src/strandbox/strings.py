@@ -24,7 +24,9 @@ any other length than 2 is checked by reading its windows along the word.
 
 Words are checked once, where they enter the program: `Letter`,
 `trivial_word`, `string_word`, `parse_word` and `parse_band` validate; `word`,
-`canonical_string` and `canonical_band` trust their input.
+`canonical_string`, `canonical_band` and `delta_length` trust their input.
+A band of a C-tilde algebra is a word of atoms of 2n letters each, so its
+delta-length is its length over 2n.
 """
 
 from __future__ import annotations
@@ -330,11 +332,11 @@ def is_band(w):
     letters = w.letters
     if not letters or not is_string(w) or letters[-1].source != letters[0].target:
         return False
-    p = w.presentation
+    k = _kernel(w.presentation)
     m = len(letters)
-    max_rel = max(map(len, p.relations), default=2)
+    max_rel = max(map(len, k.windows), default=2)
     reps = max(2, -(-max_rel // m) + 1)
-    if not _letters_valid(_kernel(p), letters * reps):
+    if not _letters_valid(k, letters * reps):
         return False
     for d in range(1, m):
         if m % d == 0 and letters == letters[:d] * (m // d):
@@ -421,14 +423,12 @@ def enumerate_bands(p, max_dl):
 
 
 def delta_length(b):
-    """Number of spine copies in the band's standard form."""
+    """Number of atoms in the band b of a C-tilde algebra, which is a word of
+    atoms of 2n letters each (`enumerate_bands`): its length over 2n.  Trusts
+    that b is a band."""
     p = b.presentation
     require_ctilde(p, "the delta-length")
-    m1 = sum(1 for c in b.letters if c.arrow.name == "e1")
-    mn = sum(1 for c in b.letters if c.arrow.name == f"e{p.n}")
-    if m1 != mn or len(b.letters) != 2 * p.n * m1 or m1 == 0:
-        raise DomainError("not a band of the C-tilde family")
-    return m1
+    return len(b.letters) // (2 * p.n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from strandbox import (
 from strandbox import Letter, is_string
 from strandbox.artrans import kernel
 from strandbox.strings import word
-from strandbox.roots import is_sink, is_source
+from strandbox.roots import is_end
 
 from conftest import all_orientations
 from test_fast_paths import KRONECKER
@@ -63,8 +63,8 @@ def test_two_continuations_violation():
 def admissible_vertices(p):
     """The sinks and sources of the loop-free spine quiver."""
     return {(u, kind) for u in p.vertices
-            for kind, test in (("sink", is_sink), ("source", is_source))
-            if test(p.orientation, p.n, u)}
+            for kind, polarity in (("sink", "+"), ("source", "-"))
+            if is_end(p.orientation, p.n, u, polarity)}
 
 
 def test_admissible_vertices_examples(a3, a4):

@@ -8,8 +8,8 @@ function in `verify` calls `band_module` or `delta_length` (the canonical
 bands are not checked or measured again), only `algebra.require_ctilde`
 raises `UnsupportedPresentation` and only `errors.require_size` words a
 `DomainError` as "must be >=" (one C-tilde gate, one size rule), only
-the word kernel, the validator, `is_band`, the tau kernel and
-`relations_vanish` read a presentation's `relations` (one relation table), no
+the word kernel, the validator, the tau kernel and `relations_vanish`
+read a presentation's `relations` (one relation table), no
 unbounded cache is keyed by a size (so none keeps a verdict's output), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
@@ -155,15 +155,14 @@ def test_one_rule_checks_every_size():
 def test_only_the_word_kernel_turns_relations_into_forbidden_walks():
     """Which walks a relation forbids is worked out once, in the letter
     windows of `strings._kernel`.  Besides it, a presentation's `relations`
-    are read only by the validator, by `is_band` and the tau kernel for
-    their lengths, and by `relations_vanish`, which multiplies a
-    representation's matrices along them."""
+    are read only by the validator, by the tau kernel for their lengths, and
+    by `relations_vanish`, which multiplies a representation's matrices
+    along them; `is_band` reads its longest window off the word kernel."""
     readers = {(path.name, node.name) for path in MODULES for node in ast.parse(path.read_text()).body
                if any(isinstance(sub, ast.Attribute) and sub.attr == "relations"
                       for sub in ast.walk(node))}
     assert readers == {("algebra.py", "validate_string_algebra"), ("strings.py", "_kernel"),
-                       ("strings.py", "is_band"), ("artrans.py", "kernel"),
-                       ("modules.py", "relations_vanish")}
+                       ("artrans.py", "kernel"), ("modules.py", "relations_vanish")}
 
 
 def _unbounded_caches():

@@ -267,6 +267,14 @@ def test_band_parameter_reducible_in_the_field_is_rejected(a3):
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
 
+@pytest.mark.parametrize("param", [(1.5, 1), (-1, 1.0), ("a", 1), (-1, True), (True, 1)])
+def test_band_parameter_with_a_coefficient_other_than_an_int_is_rejected(a3, param):
+    """A float, str or bool coefficient builds no module, so none prints as
+    a band, compares equal to the int module or reaches `linalg`."""
+    with pytest.raises(DomainError, match="monic int polynomial"):
+        band_module(parse_band(a3, W2), param)
+
+
 @pytest.mark.parametrize("field", ["fp:2", "fp:7", "fp:101"])
 def test_band_parameter_of_a_prime_field_is_irreducible_there(a3, field):
     # T^2 - 2 is rejected over GF(2) and GF(7) (above); the parameter chosen

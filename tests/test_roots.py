@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from strandbox import (
     ringel_form,
     sym_form,
 )
-from strandbox.roots import _orbit_within_bound, height, reflect_orientation, simple_root
+from strandbox.roots import _orbit_within_bound, height, is_end, reflect_orientation, simple_root
 
 from conftest import all_orientations
 from oracles import bounded_orbit, orbit_within_bound_by_walk, reflection_closure_alt
@@ -174,6 +175,39 @@ def test_admissible_sequences():
             # rotation property: rotated sequence admissible for the reflected orientation
             rotated = seq[1:] + seq[:1]
             assert is_admissible_sequence(reflect_orientation(omega, seq[0]), rotated, "+")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_admissible_sequences_are_the_sorted_admissible_permutations(n):
+    """The walk enumerator lists exactly the orderings that
+    `is_admissible_sequence` accepts, in lexicographic order."""
+    for orient in all_orientations(n):
+        omega = tuple(orient)
+        for polarity in "+-":
+            accepted = [seq for seq in itertools.permutations(range(1, n + 1))
+                        if is_admissible_sequence(omega, seq, polarity)]
+            assert admissible_sequences(omega, polarity) == sorted(accepted)
+
+
+@pytest.mark.parametrize("polarity", ["x", "", None, 1, "+-"])
+def test_a_polarity_other_than_plus_or_minus_is_refused(polarity):
+    cd = cartan(3)
+    for check in (lambda: is_end("RR", 3, 3, polarity),
+                  lambda: is_admissible_sequence("RR", (3, 2, 1), polarity),
+                  lambda: admissible_sequences("RR", polarity),
+                  lambda: beta(cd, (3, 2, 1), 1, polarity),
+                  lambda: gamma(cd, (3, 2, 1), 1, polarity)):
+        with pytest.raises(DomainError, match="polarity"):
+            check()
+
+
+@pytest.mark.parametrize("k", [0, 4, -1, 1.0, True, "1", None])
+def test_an_orbit_index_outside_the_sequence_is_refused(k):
+    cd = cartan(3)
+    for orbit in (beta, gamma):
+        for polarity in "+-":
+            with pytest.raises(DomainError, match="orbit index"):
+                orbit(cd, (3, 2, 1), k, polarity)
 
 
 def test_coxeter_and_beta_gamma():
