@@ -77,10 +77,13 @@ def spine_arrow_name(j, i):
 
 
 def normalize_orientation(orientation, n):
-    orientation = tuple(orientation)
-    if len(orientation) != n - 1 or any(d not in ("R", "L") for d in orientation):
-        raise DomainError(f"orientation must be {n - 1} letters from {{R,L}}")
-    return orientation
+    """The spine orientation as a tuple of n - 1 letters R or L; DomainError
+    for anything else, None included."""
+    letters = tuple(orientation or ())
+    if len(letters) != n - 1 or any(d not in ("R", "L") for d in letters):
+        raise DomainError(f"expected a spine orientation of length n-1 = {n - 1} in the letters"
+                          f" R and L, not {orientation!r}")
+    return letters
 
 
 def build_type_C_algebra(n, orientation):

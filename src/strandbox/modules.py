@@ -158,15 +158,16 @@ def canonical_simple_param(s, char=0):
 def band_module(b, param=None, level=1):
     """The band module class of the band letters of b (a Band or a
     StringWord, trusted to form a band), canonicalised so that equal modules
-    compare equal.  The parameter's ascending coefficients are ints: a
-    float, a bool or any other value is refused."""
+    compare equal.  The parameter is a tuple or list of ascending
+    coefficients, each an int: a float, a bool or any other value is
+    refused, and so is a parameter that is no such sequence."""
     require_size("band level", level, 1)
-    param = canonical_simple_param(1) if param is None else tuple(param)
-    if any(c.__class__ is not int for c in param) or len(param) < 2 or param[-1] != 1 \
-            or param[0] == 0:
+    param = canonical_simple_param(1) if param is None else param
+    if not isinstance(param, (tuple, list)) or any(c.__class__ is not int for c in param) \
+            or len(param) < 2 or param[-1] != 1 or param[0] == 0:
         raise DomainError("band parameter must be a monic int polynomial of degree >= 1 with"
                           f" nonzero constant term, not {param!r}")
-    return BandModuleClass(canonical_band(b), param, level)
+    return BandModuleClass(canonical_band(b), tuple(param), level)
 
 
 # ---------------------------------------------------------------------------

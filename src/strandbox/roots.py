@@ -8,8 +8,10 @@ beta/gamma Coxeter orbits plus delta-shifted window sums is provided for
 cross-checking; each orbit is read off its first period of n-1 steps, since
 c^{n-1} shifts it by a positive multiple of delta.  Sinks (polarity '+') and
 sources ('-') of the spine are told apart by one test, `is_end`, which the
-admissible sequences read; a polarity is '+' or '-', and a beta/gamma index
-runs over 1..n, or DomainError is raised.
+admissible sequences read.  A polarity is '+' or '-', an orientation is
+n - 1 letters R or L (`algebra.normalize_orientation`), the sequence of
+`coxeter`, `beta` and `gamma` orders the vertices 1..n, and a beta/gamma
+index runs over 1..n, or DomainError is raised.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
+from .algebra import normalize_orientation
 from .errors import DomainError, InternalCheckError, require_size
 from .record import Record
 
@@ -114,8 +117,7 @@ def ringel_form(cd, orientation, x, y):
     The arrow term weights x at the source and y at the target of each
     spine arrow.
     """
-    if orientation is None or len(orientation) != cd.n - 1:
-        raise DomainError("ringel form needs a spine orientation of length n-1")
+    orientation = normalize_orientation(orientation, cd.n)
     total = sum(cd.d[i] * x[i] * y[i] for i in range(cd.n))
     for k, direction in enumerate(orientation, start=1):
         i, j = (k, k + 1) if direction == "R" else (k + 1, k)
@@ -193,14 +195,15 @@ def reflect_orientation(orientation, v):
 
 
 def nonadmissible_vertices(orientation, n):
+    orientation = normalize_orientation(orientation, n)
     return [v for v in range(1, n + 1) if not any(is_end(orientation, n, v, s) for s in "+-")]
 
 
 def is_admissible_sequence(orientation, seq, polarity="+"):
-    n = len(orientation) + 1
+    polarity, n = _polarity(polarity), len(orientation) + 1
+    omega = normalize_orientation(orientation, n)
     if sorted(seq) != list(range(1, n + 1)):
         return False
-    omega = tuple(orientation)
     for v in seq:
         if not is_end(omega, n, v, polarity):
             return False
@@ -212,8 +215,8 @@ def admissible_sequences(orientation, polarity="+"):
     """All +- (or -)-admissible orderings of the vertices, in lexicographic
     order: the walks grow one vertex at a time, each by its unused ends in
     increasing order, reflecting the orientation at every step."""
-    n = len(orientation) + 1
-    walks = [((), tuple(orientation))]
+    polarity, n = _polarity(polarity), len(orientation) + 1
+    walks = [((), normalize_orientation(orientation, n))]
     for _ in range(n):
         walks = [(seq + (v,), reflect_orientation(omega, v)) for seq, omega in walks
                  for v in range(1, n + 1) if v not in seq and is_end(omega, n, v, polarity)]
@@ -238,20 +241,25 @@ class CoxeterTransform(Record):
         return x
 
 
+def _vertex_order(cd, seq):
+    """seq as a tuple when it orders the vertices 1..n; DomainError otherwise."""
+    if sorted(seq) != list(range(1, cd.n + 1)):
+        raise DomainError(f"a vertex sequence must order the vertices 1..{cd.n}, not {seq!r}")
+    return tuple(seq)
+
+
 def coxeter(cd, seq):
-    n = cd.n
-    if sorted(seq) != list(range(1, n + 1)):
-        raise DomainError("a Coxeter sequence must order the vertices")
-    return CoxeterTransform(cd, tuple(seq))
+    return CoxeterTransform(cd, _vertex_order(cd, seq))
 
 
 def beta(cd, seq, k, polarity="+"):
     """beta_{i,k} for an admissible sequence (1-based k): alpha_{i_k} reflected
     by i_{k-1}, ..., i_1 for polarity +, by i_{k+1}, ..., i_m for -."""
-    if k.__class__ is not int or not 1 <= k <= len(seq):
-        raise DomainError(f"an orbit index runs over 1..{len(seq)}, not {k!r}")
+    polarity, seq = _polarity(polarity), _vertex_order(cd, seq)
+    if k.__class__ is not int or not 1 <= k <= cd.n:
+        raise DomainError(f"an orbit index runs over 1..{cd.n}, not {k!r}")
     x = simple_root(cd, seq[k - 1])
-    for i in reversed(seq[:k - 1]) if _polarity(polarity) == "+" else seq[k:]:
+    for i in reversed(seq[:k - 1]) if polarity == "+" else seq[k:]:
         x = reflect(cd, i, x)
     return x
 

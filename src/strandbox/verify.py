@@ -229,17 +229,6 @@ def _field(p, char):
     return field_char(char)
 
 
-class _WitnessTable(dict):
-    """Rank vector -> witnesses; `bottom` is the tube's bottom row the table
-    walked, empty at bound 0."""
-
-    __slots__ = ("bottom",)
-
-    def __init__(self, witnesses, bottom):
-        dict.__init__(self, witnesses)
-        self.bottom = bottom
-
-
 def tau_locally_free_rank_vectors(p, bound, char=0):
     """Map rank vector -> witnesses among tau-locally free modules of height
     <= bound, assembled from the four families and checked as they are built:
@@ -253,14 +242,12 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     The bands come canonical from `enumerate_bands` and the parameters from
     `canonical_simple_param`, so each witness is built as it stands; a band
     class's ranks and local freeness are counted once, on its degree-1,
-    level-1 module, since degree s and level l only scale the counts by s l.
-    The table also holds, as `bottom`, the tube's bottom row it walked (a
-    tuple, empty at bound 0)."""
+    level-1 module, since degree s and level l only scale the counts by s l."""
     require_size("bound", bound, 0)
     char = _field(p, char)
     cd = cartan(p.n)
     k = kernel(p)
-    witnesses, bottom = {}, ()
+    witnesses = {}
 
     def add(w, rv):
         witnesses.setdefault(rv, []).append(w)
@@ -273,8 +260,6 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
     if bound >= 1:
         for level, row in enumerate(k.tube(), start=1):
             members = [m for m, _ in row]
-            if level == 1:
-                bottom = tuple(members)
             ranks = [k.table.ranks(counts) for _, counts in row]
             closed = set(members)
             for m, rv in zip(members, ranks):
@@ -299,7 +284,7 @@ def tau_locally_free_rank_vectors(p, bound, char=0):
                 for level in range(1, max_dl // (t * s) + 1):
                     add(Witness("band", BandModuleClass(b, params[s - 1], level), level=level),
                         tuple([s * level * r for r in one]))
-    return _WitnessTable(witnesses, bottom)
+    return witnesses
 
 
 def _band_classes(t):
@@ -315,8 +300,7 @@ def check_gls(p, bound, char=0):
     """Compare rank vectors of tau-locally free modules with positive roots.
     m delta expects one band witness per band class of delta-length t (as
     many as `_band_classes(t)`), degree s and level l with t s l = m.  At a
-    positive bound the problems include those of `check_tube_invariants`,
-    found on the bottom row the witness table walked."""
+    positive bound the problems include those of `check_tube_invariants`."""
     require_size("bound", bound, 0)
     char = _field(p, char)
     cd = cartan(p.n)
@@ -358,7 +342,7 @@ def check_gls(p, bound, char=0):
             matched_real[root] = ws[0]
 
     if bound >= 1:
-        problems += _tube_problems(p, table.bottom, char)
+        problems += check_tube_invariants(p, char).problems
 
     return GLSReport(p.n, p.orientation, bound, matched_real, matched_imaginary,
                      missing, extra, problems)
@@ -402,8 +386,11 @@ def check_coxeter_compatibility(p, seq, depth):
     return CheckReport("coxeter-compatibility", problems)
 
 
-def _tube_problems(p, bottom, char):
-    """The problems of `check_tube_invariants` on the given bottom row."""
+def check_tube_invariants(p, char=0):
+    """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
+    itself checks that tau^-1 closes it with period n-1."""
+    char = _field(p, char)
+    bottom = tube_bottom(p)
     problems = []
     n = p.n
     dims = [dim_vector(m) for m in bottom]
@@ -417,11 +404,4 @@ def _tube_problems(p, bottom, char):
     for m in bottom:
         if not is_rigid(m, char):
             problems.append(f"bottom module {format_module(m)} is not rigid")
-    return problems
-
-
-def check_tube_invariants(p, char=0):
-    """Dimension and rank sums and rigidity of the tube bottom; `tube_bottom`
-    itself checks that tau^-1 closes it with period n-1."""
-    problems = _tube_problems(p, tube_bottom(p), _field(p, char))
     return CheckReport("tube-invariants", problems)

@@ -13,8 +13,10 @@ read a presentation's `relations` (one relation table), no
 unbounded cache is keyed by a size (so none keeps a verdict's output), every
 function the benchmark's tracer wraps by name is still defined where it
 looks, importing the package loads neither `dataclasses` nor `inspect` (nor
-`json`, which only the exports and the CLI need), and
-every class of the package that is not an exception declares `__slots__`.
+`json`, which only the exports and the CLI need),
+every class of the package that is not an exception declares `__slots__`,
+and none derives from a builtin container (a table is a plain `dict`, not
+one with state bolted on).
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  The import checks skip `__init__.py`: its imports are
@@ -245,3 +247,14 @@ def test_every_class_but_the_exceptions_is_slotted():
                     and not issubclass(cls, BaseException) and "__slots__" not in vars(cls):
                 unslotted.append(f"{path.stem}.{name}")
     assert unslotted == []
+
+
+def test_no_class_derives_from_a_builtin_container():
+    """A record holds its fields in slots and a table is a plain container:
+    no class the package defines derives from `dict`, `list`, `set`,
+    `frozenset` or `tuple`, so none carries state beside its items."""
+    containers = {"dict", "list", "set", "frozenset", "tuple"}
+    derived = [f"{path.stem}.{node.name}" for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+               and any(isinstance(base, ast.Name) and base.id in containers for base in node.bases)]
+    assert derived == []

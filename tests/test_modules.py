@@ -267,10 +267,11 @@ def test_band_parameter_reducible_in_the_field_is_rejected(a3):
     assert hom_dim_modules(m, m, scalar_from_spec("fp:3")) >= 1
 
 
-@pytest.mark.parametrize("param", [(1.5, 1), (-1, 1.0), ("a", 1), (-1, True), (True, 1)])
+@pytest.mark.parametrize("param", [(1.5, 1), (-1, 1.0), ("a", 1), (-1, True), (True, 1), 5, 1.5])
 def test_band_parameter_with_a_coefficient_other_than_an_int_is_rejected(a3, param):
     """A float, str or bool coefficient builds no module, so none prints as
-    a band, compares equal to the int module or reaches `linalg`."""
+    a band, compares equal to the int module or reaches `linalg`; nor does a
+    bare number given in place of the coefficients."""
     with pytest.raises(DomainError, match="monic int polynomial"):
         band_module(parse_band(a3, W2), param)
 

@@ -20,7 +20,14 @@ from strandbox import (
     ringel_form,
     sym_form,
 )
-from strandbox.roots import _orbit_within_bound, height, is_end, reflect_orientation, simple_root
+from strandbox.roots import (
+    _orbit_within_bound,
+    height,
+    is_end,
+    nonadmissible_vertices,
+    reflect_orientation,
+    simple_root,
+)
 
 from conftest import all_orientations
 from oracles import bounded_orbit, orbit_within_bound_by_walk, reflection_closure_alt
@@ -194,10 +201,37 @@ def test_a_polarity_other_than_plus_or_minus_is_refused(polarity):
     cd = cartan(3)
     for check in (lambda: is_end("RR", 3, 3, polarity),
                   lambda: is_admissible_sequence("RR", (3, 2, 1), polarity),
+                  lambda: is_admissible_sequence("RR", (1, 1, 1), polarity),
                   lambda: admissible_sequences("RR", polarity),
                   lambda: beta(cd, (3, 2, 1), 1, polarity),
                   lambda: gamma(cd, (3, 2, 1), 1, polarity)):
         with pytest.raises(DomainError, match="polarity"):
+            check()
+
+
+@pytest.mark.parametrize("seq", [(9, 2, 1), (3, 2), (1, 1, 2), (3, 2, 1, 4)])
+def test_a_sequence_that_does_not_order_the_vertices_is_refused(seq):
+    """beta and gamma read their sequence as `coxeter` does: a wrong vertex,
+    a missing one or a repeated one is refused, not reflected along."""
+    cd = cartan(3)
+    for check in (lambda: coxeter(cd, seq), lambda: beta(cd, seq, 1, "+"),
+                  lambda: beta(cd, seq, 1, "-"), lambda: gamma(cd, seq, 1, "+")):
+        with pytest.raises(DomainError, match="must order the vertices"):
+            check()
+
+
+@pytest.mark.parametrize("orientation", ["XX", ("X", "X"), "RX", "lR", ("R", None)])
+def test_an_orientation_letter_other_than_r_or_l_is_refused(orientation):
+    """An orientation is read letter by letter, so ("X", "X") is refused by
+    the Ringel form, not read as ("L", "L"), and by the admissible sequences,
+    which would otherwise find none."""
+    cd = cartan(3)
+    for check in (lambda: ringel_form(cd, orientation, (0, 1, 0), (1, 0, 0)),
+                  lambda: nonadmissible_vertices(orientation, 3),
+                  lambda: is_admissible_sequence(orientation, (1, 2, 3)),
+                  lambda: admissible_sequences(orientation, "-"),
+                  lambda: closed_form_positive_roots(cd, orientation, (1, 2, 3), 4)):
+        with pytest.raises(DomainError, match="orientation of length n-1"):
             check()
 
 

@@ -260,10 +260,10 @@ def test_check_gls_reports_the_tube_invariants(a4, monkeypatch):
     assert check_gls(a4, 0).problems == []
 
 
-def test_check_gls_walks_the_tube_bottom_once(a4, monkeypatch):
-    """The tube invariants read the bottom row the witness table walked, at
-    every positive bound, also one that leaves bottom modules out of the
-    table; bound 0 walks no tube."""
+def test_check_gls_walks_the_tube_bottom_twice(a4, monkeypatch):
+    """At every positive bound, also one that leaves bottom modules out of
+    the table, the bottom row is walked once for the table's tube and once
+    by `check_tube_invariants`; bound 0 walks no tube."""
     calls = []
 
     def counted(p, real=artrans.tube_bottom):
@@ -272,7 +272,7 @@ def test_check_gls_walks_the_tube_bottom_once(a4, monkeypatch):
 
     monkeypatch.setattr(artrans, "tube_bottom", counted)
     monkeypatch.setattr(verify, "tube_bottom", counted)
-    for bound, walks in ((0, 0), (1, 1), (a4.n, 1), (2 * a4.n, 1)):
+    for bound, walks in ((0, 0), (1, 2), (a4.n, 2), (2 * a4.n, 2)):
         calls.clear()
         assert check_gls(a4, bound).passed and len(calls) == walks, bound
 
@@ -381,11 +381,6 @@ def test_every_size_entry_point_refuses_a_size_that_is_no_int_of_its_least(a3, s
                         (lambda v: projective_string(a3, v), 1)):
         with pytest.raises(DomainError, match="must be >= |no vertex "):
             call(least - 1 if size == "one below the least" else size)
-
-
-def test_the_witness_table_holds_the_tube_bottom(a4):
-    assert tau_locally_free_rank_vectors(a4, 0).bottom == ()
-    assert list(tau_locally_free_rank_vectors(a4, 1).bottom) == tube_bottom(a4)
 
 
 def test_check_tube_invariants_all_orientations_n4():
