@@ -76,12 +76,15 @@ def spine_arrow_name(j, i):
     return f"a{j}_{i}"
 
 
-def normalize_orientation(orientation, n):
-    """The spine orientation as a tuple of n - 1 letters R or L; DomainError
-    for anything else, None included."""
-    letters = tuple(orientation or ())
-    if len(letters) != n - 1 or any(d not in ("R", "L") for d in letters):
-        raise DomainError(f"expected a spine orientation of length n-1 = {n - 1} in the letters"
+def normalize_orientation(orientation, n=None):
+    """The spine orientation as a tuple of n - 1 letters R or L, of any
+    length when n is None; DomainError for anything else, also for what is
+    not a str, tuple or list (None, a number)."""
+    letters = tuple(orientation) if isinstance(orientation, (str, tuple, list)) else None
+    if letters is None or n not in (None, len(letters) + 1) or \
+            any(d not in ("R", "L") for d in letters):
+        size = "" if n is None else f" = {n - 1}"
+        raise DomainError(f"expected a spine orientation of length n-1{size} in the letters"
                           f" R and L, not {orientation!r}")
     return letters
 

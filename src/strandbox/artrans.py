@@ -436,26 +436,20 @@ def _only(results, what, raw):
 def _sequence(table, raw, counts):
     """The AR-sequence starting at the module of a raw word: (case, middle
     terms, end term), each term a (raw word, counts) pair as in
-    `_Table.shift`; None at an injective."""
-    entry = table.entry(raw)
-    if entry and 1 in entry.glued:
+    `_Table.shift`, whose tau^{-1} is the end term; None at an injective.
+    Only the middle terms are computed here."""
+    end = table.shift(raw, counts, 1)
+    if end is None:
         return None
-    matches = _ray_letters(entry, -1)
+    matches = _ray_letters(table.entry(raw), -1)
     if matches:
         # the middle term _-a . a . a_- (a = c^-1) is _-a with a hook added
-        terms = _only({(table.key(_add(table.left, _raw(table.ray[c]), 1)[1]),
-                        table.key(_raw(table.ray[c.inverse]))) for c in matches},
-                      "indecomposable-middle sequence", raw)
-        mid, last = ((t, counts and table.counts(t)) for t in terms)
-        return "IndecMiddle", (mid,), last
-    terms = []
-    for end in (table.left, table.right):
-        op, tail, w = _step(end, raw, 1)
-        terms.append((op, w, _moved(counts, tail, op > 0)))
-    (lsign, left, lcounts), (rsign, right, rcounts) = terms
-    op, tail, both = _step(table.left, right, 1)
-    return (_KIND[lsign] + _KIND[rsign], ((left, lcounts), (right, rcounts)),
-            (both, _moved(rcounts, tail, op > 0)))
+        mid = _only({table.key(_add(table.left, _raw(table.ray[c]), 1)[1]) for c in matches},
+                    "indecomposable-middle sequence", raw)
+        return "IndecMiddle", ((mid, counts and table.counts(mid)),), end
+    terms = [_step(side, raw, 1) for side in (table.left, table.right)]
+    case = "".join(_KIND[op] for op, _, _ in terms)
+    return case, tuple((w, _moved(counts, tail, op > 0)) for op, tail, w in terms), end
 
 
 def ar_sequence_starting_at(m):

@@ -200,8 +200,8 @@ def nonadmissible_vertices(orientation, n):
 
 
 def is_admissible_sequence(orientation, seq, polarity="+"):
-    polarity, n = _polarity(polarity), len(orientation) + 1
-    omega = normalize_orientation(orientation, n)
+    polarity, omega = _polarity(polarity), normalize_orientation(orientation)
+    n = len(omega) + 1
     if sorted(seq) != list(range(1, n + 1)):
         return False
     for v in seq:
@@ -215,8 +215,8 @@ def admissible_sequences(orientation, polarity="+"):
     """All +- (or -)-admissible orderings of the vertices, in lexicographic
     order: the walks grow one vertex at a time, each by its unused ends in
     increasing order, reflecting the orientation at every step."""
-    polarity, n = _polarity(polarity), len(orientation) + 1
-    walks = [((), normalize_orientation(orientation, n))]
+    polarity, omega = _polarity(polarity), normalize_orientation(orientation)
+    n, walks = len(omega) + 1, [((), omega)]
     for _ in range(n):
         walks = [(seq + (v,), reflect_orientation(omega, v)) for seq, omega in walks
                  for v in range(1, n + 1) if v not in seq and is_end(omega, n, v, polarity)]

@@ -26,7 +26,11 @@ Words are checked once, where they enter the program: `Letter`,
 `trivial_word`, `string_word`, `parse_word` and `parse_band` validate; `word`,
 `canonical_string`, `canonical_band` and `delta_length` trust their input.
 A band of a C-tilde algebra is a word of atoms of 2n letters each, so its
-delta-length is its length over 2n.
+delta-length is its length over 2n.  `enumerate_bands` generates the classes
+as Lyndon words of atoms, in order, keeping the one word of each class that
+is below every rotation of its inverse: that word is already the class's
+canonical band, so no class is canonicalised, merged with its inverse or
+sorted by letters.
 """
 
 from __future__ import annotations
@@ -397,29 +401,44 @@ def spine_walk_word(p):
 
 def enumerate_bands(p, max_dl):
     """All rho'-classes of bands of delta-length <= max_dl (C-tilde only),
-    as a tuple.
+    as a tuple, each by its canonical band, sorted by length and letters.
 
     A band of delta-length t is a primitive cyclic word of t atoms
-    w0^-1 en^± w0 e1^±, up to inversion.  Each class is canonicalised once,
-    from its Lyndon words (primitive, least of their rotations); the set
-    merges a word with its inverse.  Every primitive atom word is a band:
-    the only relations are e1^2 and en^2, each loop letter stands between
-    spine letters, w0^-1 meets w0 only across a loop letter, and a period
-    of the letters keeps en on en, so is a multiple of the 2n-letter atom.
+    e1^a w0^-1 en^b w0 up to inversion; atom (a, b) has the symbol
+    2 [a = -1] + [b = -1].  Every primitive atom word is a band: the only
+    relations are e1^2 and en^2, each loop letter stands between spine
+    letters, w0^-1 meets w0 only across a loop letter, and a period of the
+    letters keeps en on en, so is a multiple of the 2n-letter atom.
+    Inverting the word x_0..x_{t-1} gives the symbols
+    3 - (2 [a_{j+1} = -1] + [b_j = -1]) for j = t-1..0, indices mod t.
+
+    The words come out canonical.  e1 is the least letter, and every class
+    has a rotation starting at a direct e1, in the band or in its inverse,
+    so `canonical_band` starts at one; on such rotations letter order is
+    symbol order.  So the canonical band of a class is the least rotation
+    of its atom word or of its inverse, whichever is smaller (never a tie:
+    no class is its own inverse, see `verify._band_classes`).  Duval's
+    successor steps through the Lyndon symbol words (least of their
+    rotations, primitive) of at most max_dl atoms in lexicographic order,
+    and a word is kept when it is below every rotation of its inverse.
     """
     require_ctilde(p, "band enumeration")
     require_size("max_dl", max_dl, 1)
     w0 = spine_walk_word(p)
-    e1 = arrow_named(p)["e1"]
-    en = arrow_named(p)[f"e{p.n}"]
-    atoms = [(*w0.inverse.letters, Letter(en, s), *w0.letters, Letter(e1, s1))
-             for s, s1 in product((1, -1), repeat=2)]
-    seen = set()
-    for t in range(1, max_dl + 1):
-        for ks in product(range(4), repeat=t):
-            if all(ks < ks[i:] + ks[:i] for i in range(1, t)):
-                seen.add(canonical_band(Band(p, sum((atoms[k] for k in ks), ()))))
-    return tuple(sorted(seen, key=lambda b: (len(b.letters), tuple(map(letter_key, b.letters)))))
+    e1, en = arrow_named(p)["e1"], arrow_named(p)[f"e{p.n}"]
+    atoms = [(Letter(e1, a), *w0.inverse.letters, Letter(en, b), *w0.letters)
+             for a, b in product((1, -1), repeat=2)]
+    bands, x = [], [-1]
+    while x:  # Duval: raise the last symbol; then repeat x to max_dl symbols, drop trailing 3s
+        x[-1] += 1
+        t = len(x)
+        inverse = [3 - ((x[(j + 1) % t] & 2) | (x[j] & 1)) for j in range(t - 1, -1, -1)]
+        if all(x < inverse[i:] + inverse[:i] for i in range(t)):
+            bands.append(Band(p, sum(map(atoms.__getitem__, x), ())))
+        x = (x * max_dl)[:max_dl]
+        while x and x[-1] == 3:
+            x.pop()
+    return tuple(sorted(bands, key=len))
 
 
 def delta_length(b):

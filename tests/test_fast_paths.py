@@ -8,7 +8,8 @@ look at arrow names.  The hook and cohook steps at both ends, `tau` and
 `tau_inv` are also compared on a linear A_4 with a relation of length 3,
 where an added letter must pass the window check.  `enumerate_bands` is
 compared with the sweep over every sign word of the standard form on every
-orientation with n = 3, 4, 5.  On every module that `check_gls` walks at
+orientation with n = 3, 4, 5, with Witt's count of classes for n = 3 up to
+delta-length 8, and with `canonical_band` for n = 3..8.  On every module that `check_gls` walks at
 bound 3 ht(delta) for n = 3, 4, 5, the counts the tau kernel carries give
 the ranks of `free_rank_vector` and of the walk, and each kernel step on
 letter tuples gives the module of the inversion oracle.  The kernel reads its
@@ -18,6 +19,7 @@ have the walk's ranks and the module `band_module` builds.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -37,6 +39,7 @@ from strandbox import (
     delete_left,
     delta,
     delete_right,
+    delta_length,
     enumerate_bands,
     enumerate_strings,
     free_rank_vector,
@@ -49,7 +52,7 @@ from strandbox import (
     tau_locally_free_rank_vectors,
     validate_string_algebra,
 )
-from strandbox import artrans, modules
+from strandbox import artrans, modules, verify
 from strandbox.algebra import arrow_named
 from strandbox.errors import InternalCheckError, NotLocallyFree
 from strandbox.roots import height
@@ -70,6 +73,7 @@ from oracles import (
     tau_inv_by_ar_sequence,
     translate_by_inversion,
 )
+from conftest import all_orientations
 from test_word_kernel import linear_a4_with_a_cubic_relation
 
 CTILDE = [
@@ -148,6 +152,23 @@ def test_enumerate_bands_matches_the_sweep_oracle(p):
     <= 4 for n = 4 and 5."""
     max_dl = 5 if p.n == 3 else 4
     assert enumerate_bands(p, max_dl) == bands_by_sweep(p, max_dl)
+
+
+@pytest.mark.parametrize("orientation", all_orientations(3))
+def test_enumerate_bands_keeps_witts_count_of_classes(orientation):
+    """One atom word per band class: for n = 3, as many bands of each
+    delta-length t <= 8 as Witt's count `_band_classes(t)`."""
+    tally = Counter(map(delta_length, enumerate_bands(build_type_C_algebra(3, orientation), 8)))
+    assert [tally[t] for t in range(1, 9)] == [verify._band_classes(t) for t in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_enumerated_band_is_its_own_canonical_band(n):
+    """The atom-level rule picks `canonical_band`'s representative, on every
+    orientation of n = 3..8 at delta-length <= 3."""
+    for orientation in all_orientations(n):
+        for b in enumerate_bands(build_type_C_algebra(n, orientation), 3):
+            assert canonical_band(b) == b, b
 
 
 def _outcome(fn, *args):

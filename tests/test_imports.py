@@ -124,8 +124,8 @@ def test_no_function_in_verify_revalidates_a_band():
 def test_no_function_in_verify_remeasures_a_band():
     """A band of `enumerate_bands` is a word of t atoms of 2n letters each,
     so `verify` reads its delta-length t off its length: no function there
-    calls `delta_length`, which would check the presentation and count the
-    loop letters of every band class again."""
+    calls `delta_length`, which would pass every band class through the
+    C-tilde gate again for the same length over 2n."""
     assert _callers("verify.py", "delta_length") == set()
 
 

@@ -7,6 +7,7 @@ from strandbox import (
     DomainError,
     admissible_sequences,
     beta,
+    build_type_C_algebra,
     cartan,
     closed_form_families,
     closed_form_positive_roots,
@@ -220,17 +221,19 @@ def test_a_sequence_that_does_not_order_the_vertices_is_refused(seq):
             check()
 
 
-@pytest.mark.parametrize("orientation", ["XX", ("X", "X"), "RX", "lR", ("R", None)])
+@pytest.mark.parametrize("orientation", ["XX", ("X", "X"), "RX", "lR", ("R", None), None, 5])
 def test_an_orientation_letter_other_than_r_or_l_is_refused(orientation):
     """An orientation is read letter by letter, so ("X", "X") is refused by
     the Ringel form, not read as ("L", "L"), and by the admissible sequences,
-    which would otherwise find none."""
+    which would otherwise find none.  What is not a str, tuple or list is
+    refused before its length is read."""
     cd = cartan(3)
     for check in (lambda: ringel_form(cd, orientation, (0, 1, 0), (1, 0, 0)),
                   lambda: nonadmissible_vertices(orientation, 3),
                   lambda: is_admissible_sequence(orientation, (1, 2, 3)),
                   lambda: admissible_sequences(orientation, "-"),
-                  lambda: closed_form_positive_roots(cd, orientation, (1, 2, 3), 4)):
+                  lambda: closed_form_positive_roots(cd, orientation, (1, 2, 3), 4),
+                  lambda: build_type_C_algebra(3, orientation)):
         with pytest.raises(DomainError, match="orientation of length n-1"):
             check()
 
