@@ -9,9 +9,10 @@ cross-checking; each orbit is read off its first period of n-1 steps, since
 c^{n-1} shifts it by a positive multiple of delta.  Sinks (polarity '+') and
 sources ('-') of the spine are told apart by one test, `is_end`, which the
 admissible sequences read.  A polarity is '+' or '-', an orientation is
-n - 1 letters R or L (`algebra.normalize_orientation`), the sequence of
-`coxeter`, `beta` and `gamma` orders the vertices 1..n, and a beta/gamma
-index runs over 1..n, or DomainError is raised.
+n - 1 letters R or L (`algebra.normalize_orientation`), a vertex sequence
+is a tuple or list of ints, that of `coxeter`, `beta` and `gamma` orders
+the vertices 1..n (`_vertex_order`, which `is_admissible_sequence` reads
+too), and a beta/gamma index runs over 1..n, or DomainError is raised.
 """
 
 from __future__ import annotations
@@ -199,10 +200,23 @@ def nonadmissible_vertices(orientation, n):
     return [v for v in range(1, n + 1) if not any(is_end(orientation, n, v, s) for s in "+-")]
 
 
+def _vertex_order(n, seq, refuse=True):
+    """seq as a tuple when it is a tuple or list of ints (not bools) that
+    orders the vertices 1..n; None for one of ints that does not, unless
+    `refuse`; DomainError otherwise."""
+    ints = isinstance(seq, (tuple, list)) and all(v.__class__ is int for v in seq)
+    if ints and sorted(seq) == list(range(1, n + 1)):
+        return tuple(seq)
+    if ints and not refuse:
+        return None
+    raise DomainError(f"a vertex sequence must order the vertices 1..{n} as a tuple or list of"
+                      f" ints, not {seq!r}")
+
+
 def is_admissible_sequence(orientation, seq, polarity="+"):
     polarity, omega = _polarity(polarity), normalize_orientation(orientation)
     n = len(omega) + 1
-    if sorted(seq) != list(range(1, n + 1)):
+    if _vertex_order(n, seq, refuse=False) is None:
         return False
     for v in seq:
         if not is_end(omega, n, v, polarity):
@@ -241,21 +255,14 @@ class CoxeterTransform(Record):
         return x
 
 
-def _vertex_order(cd, seq):
-    """seq as a tuple when it orders the vertices 1..n; DomainError otherwise."""
-    if sorted(seq) != list(range(1, cd.n + 1)):
-        raise DomainError(f"a vertex sequence must order the vertices 1..{cd.n}, not {seq!r}")
-    return tuple(seq)
-
-
 def coxeter(cd, seq):
-    return CoxeterTransform(cd, _vertex_order(cd, seq))
+    return CoxeterTransform(cd, _vertex_order(cd.n, seq))
 
 
 def beta(cd, seq, k, polarity="+"):
     """beta_{i,k} for an admissible sequence (1-based k): alpha_{i_k} reflected
     by i_{k-1}, ..., i_1 for polarity +, by i_{k+1}, ..., i_m for -."""
-    polarity, seq = _polarity(polarity), _vertex_order(cd, seq)
+    polarity, seq = _polarity(polarity), _vertex_order(cd.n, seq)
     if k.__class__ is not int or not 1 <= k <= cd.n:
         raise DomainError(f"an orbit index runs over 1..{cd.n}, not {k!r}")
     x = simple_root(cd, seq[k - 1])

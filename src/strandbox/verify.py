@@ -300,13 +300,13 @@ def check_gls(p, bound, char=0):
     """Compare rank vectors of tau-locally free modules with positive roots.
     m delta expects one band witness per band class of delta-length t (as
     many as `_band_classes(t)`), degree s and level l with t s l = m.  At a
-    positive bound the problems include those of `check_tube_invariants`."""
-    require_size("bound", bound, 0)
-    char = _field(p, char)
+    positive bound the problems include those of `check_tube_invariants`.
+    The bound, the family and the field are checked by
+    `tau_locally_free_rank_vectors`, which runs first."""
+    table = tau_locally_free_rank_vectors(p, bound, char)
     cd = cartan(p.n)
     dl = delta(cd)
     roots_set = enumerate_positive_roots(cd, bound)
-    table = tau_locally_free_rank_vectors(p, bound, char)
     missing = sorted(roots_set - set(table))
     extra = sorted(set(table) - roots_set)
     problems = []
@@ -358,13 +358,12 @@ def check_coxeter_compatibility(p, seq, depth):
     require_size("depth", depth, 0)
     require_ctilde(p, "Coxeter compatibility")
     cd = cartan(p.n)
-    seq = tuple(seq)
     if is_admissible_sequence(p.orientation, seq, "+"):
         polarity, sign = "+", 1
     elif is_admissible_sequence(p.orientation, seq, "-"):
         polarity, sign = "-", -1
     else:
-        raise DomainError(f"sequence {seq} is not admissible for this orientation")
+        raise DomainError(f"sequence {tuple(seq)} is not admissible for this orientation")
     cox = coxeter(cd, seq)
     problems = []
     values = []

@@ -8,12 +8,18 @@ import pytest
 
 from strandbox import (
     artrans,
+    build_component,
     build_type_C_algebra,
+    cartan,
+    check_gls,
     component_to_dot,
     component_to_json,
+    delta_length,
     enumerate_bands,
+    enumerate_positive_roots,
     enumerate_strings,
     format_word,
+    parse_module,
     tube_rank,
     verify,
 )
@@ -86,7 +92,7 @@ def test_roots_closed_form_agrees(capsys):
 def test_roots_reads_seq_and_orient_only_with_closed_form(capsys, flags, named):
     code, out, err = run(capsys, "roots", "--n", "3", "--bound", "1", *flags)
     assert code == 2 and out == ""
-    assert named in err and "--closed-form" in err
+    assert err.startswith("error: ") and named in err and "--closed-form" in err
 
 
 def test_verify_gls_json(capsys):
@@ -337,10 +343,45 @@ def test_roots_closed_form_needs_seq_and_orient(capsys):
     code, out, err = run(capsys, "roots", "--n", "3", "--bound", "4", "--closed-form",
                          "--seq", "3,2,1")
     assert code == 2 and out == ""
-    assert "--closed-form requires --seq and --orient" in err
+    assert err.startswith("error: ") and "--closed-form requires --seq and --orient" in err
 
 
 def test_a_field_of_composite_order_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("STRANDBOX_FIELD", "fp:4")
     code, out, err = run(capsys, "verify-gls", "--n", "3", "--orient", "RR", "--bound", "4")
     assert code == 2 and out == "" and "not a prime" in err
+
+
+@pytest.mark.parametrize("fmt, export", [("json", component_to_json), ("dot", component_to_dot)])
+def test_component_prints_the_export_unchanged(capsys, fmt, export):
+    code, out, _ = run(capsys, "component", "--n", "3", "--orient", "RR", "triv(2)",
+                       "--radius", "2", "--format", fmt)
+    seed = parse_module(build_type_C_algebra(3, "RR"), "triv(2)")
+    assert code == 0 and out == export(build_component(seed, 2)) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_gls_prints_the_report_unchanged(capsys, fmt):
+    code, out, _ = run(capsys, "verify-gls", "--n", "3", "--orient", "RL", "--bound", "8",
+                       "--format", fmt)
+    report = check_gls(build_type_C_algebra(3, "RL"), 8)
+    assert code == 0 and out == (report.to_json() if fmt == "json" else report.to_table()) + "\n"
+
+
+def test_the_json_lists_are_the_librarys(capsys):
+    p = build_type_C_algebra(3, "RR")
+    expected = {
+        ("strings", "--orient", "RR", "--max-len", "2"):
+            [format_word(w) for w in enumerate_strings(p, 2)],
+        ("bands", "--orient", "RR", "--max-dl", "2"):
+            [{"band": format_word(b), "dl": delta_length(b)} for b in enumerate_bands(p, 2)],
+        ("roots", "--bound", "6"):
+            [list(r) for r in sorted(enumerate_positive_roots(cartan(3), 6))],
+    }
+    for (command, *flags), doc in expected.items():
+        code, out, _ = run(capsys, command, "--n", "3", *flags, "--format", "json")
+        assert code == 0 and out == json.dumps(doc) + "\n", command
+
+
+def test_roots_at_bound_0_prints_nothing(capsys):
+    assert run(capsys, "roots", "--n", "3", "--bound", "0") == (0, "", "")

@@ -16,7 +16,8 @@ looks, importing the package loads neither `dataclasses` nor `inspect` (nor
 `json`, which only the exports and the CLI need),
 every class of the package that is not an exception declares `__slots__`,
 and none derives from a builtin container (a table is a plain `dict`, not
-one with state bolted on).
+one with state bolted on), and only `cli.main` prints or touches
+`sys.stdout` or `sys.stderr` (one printer).
 
 Read with the standard library's `ast`, so that a deletion cannot leave a
 dead import behind.  The import checks skip `__init__.py`: its imports are
@@ -258,3 +259,17 @@ def test_no_class_derives_from_a_builtin_container():
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
                and any(isinstance(base, ast.Name) and base.id in containers for base in node.bases)]
     assert derived == []
+
+
+def test_only_the_command_line_main_prints():
+    """The subcommands return their lines, and `cli.main` alone prints them,
+    refusals included: no other definition of the package calls `print` or
+    reads `sys.stdout` or `sys.stderr`."""
+    def prints(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print") or (
+            isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and getattr(node.value, "id", None) == "sys")
+
+    printers = {(path.name, getattr(node, "name", "<module>")) for path in MODULES
+                for node in ast.parse(path.read_text()).body if any(map(prints, ast.walk(node)))}
+    assert printers == {("cli.py", "main")}

@@ -9,6 +9,7 @@ from strandbox import (
     beta,
     build_type_C_algebra,
     cartan,
+    check_coxeter_compatibility,
     closed_form_families,
     closed_form_positive_roots,
     coxeter,
@@ -210,13 +211,25 @@ def test_a_polarity_other_than_plus_or_minus_is_refused(polarity):
             check()
 
 
-@pytest.mark.parametrize("seq", [(9, 2, 1), (3, 2), (1, 1, 2), (3, 2, 1, 4)])
+@pytest.mark.parametrize("seq", [(9, 2, 1), (3, 2), (1, 1, 2), (3, 2, 1, 4),
+                                 (3.0, 2, 1), (True, 2, 3), (3, "2", 1), None])
 def test_a_sequence_that_does_not_order_the_vertices_is_refused(seq):
     """beta and gamma read their sequence as `coxeter` does: a wrong vertex,
-    a missing one or a repeated one is refused, not reflected along."""
+    a missing one or a repeated one is refused, not reflected along, and so
+    is what is not a tuple or list of ints (a float, a bool, a str, None).
+    The admissibility checks, and the closed form and the Coxeter check
+    behind them, refuse the latter too; an int sequence that does not order
+    the vertices is merely not admissible."""
     cd = cartan(3)
-    for check in (lambda: coxeter(cd, seq), lambda: beta(cd, seq, 1, "+"),
-                  lambda: beta(cd, seq, 1, "-"), lambda: gamma(cd, seq, 1, "+")):
+    checks = [lambda: coxeter(cd, seq), lambda: beta(cd, seq, 1, "+"),
+              lambda: beta(cd, seq, 1, "-"), lambda: gamma(cd, seq, 1, "+")]
+    if seq is not None and all(v.__class__ is int for v in seq):
+        assert not any(is_admissible_sequence("RR", seq, polarity) for polarity in "+-")
+    else:
+        checks += [lambda: is_admissible_sequence("RR", seq, "-"),
+                   lambda: closed_form_positive_roots(cd, "RR", seq, 4),
+                   lambda: check_coxeter_compatibility(build_type_C_algebra(3, "RR"), seq, 2)]
+    for check in checks:
         with pytest.raises(DomainError, match="must order the vertices"):
             check()
 
